@@ -1,13 +1,25 @@
 """Canonical forms for binary relations given as out-neighbour bitmasks.
 
-Colour refinement seeded with caller-supplied vertex invariants, then a
-lex-min adjacency encoding over the permutations that respect the refined
-colour classes. Exact, intended for small n only.
+Individualization-refinement in the scheme of McKay & Piperno, *Practical
+graph isomorphism, II* (J. Symb. Comput. 2014). Vertices start in cells
+ordered by caller-supplied invariants, and refinement splits every cell by
+the number of out- and in-neighbours each vertex has in each cell until
+the partition is equitable. Splits stay in place inside their cell, so the
+cell order of the invariants (heights first for lattices) survives into
+the canonical labelling.
+
+A search tree then individualizes, in turn, each vertex of the first cell
+with more than one vertex and refines again. Its leaves are vertex
+orderings, and the key is the least adjacency encoding over the leaves.
+A leaf that encodes like the best leaf so far gives an automorphism, and
+the automorphisms prune the tree: a child in the orbit of an explored
+child, under those that fix the node's individualized vertices, is not
+entered. The key is exact for every n. Inputs built to defeat refinement
+can still take exponential time, but Boolean lattices, M_k, their dual
+digraphs and lattices of convex sets take milliseconds.
 """
 
 from __future__ import annotations
-
-from itertools import permutations, product
 
 
 def _bits(mask):
@@ -17,25 +29,28 @@ def _bits(mask):
         mask ^= low
 
 
-def _refine(rows, cols, n, seeds):
-    # colours start as ranks of the seed values, then get split by the
-    # multiset of neighbour colours until stable
-    order = sorted(set(seeds))
-    colour = [order.index(s) for s in seeds]
-    while True:
-        sig = [
-            (
-                colour[i],
-                tuple(sorted(colour[j] for j in _bits(rows[i]))),
-                tuple(sorted(colour[j] for j in _bits(cols[i]))),
-            )
-            for i in range(n)
-        ]
-        order = sorted(set(sig))
-        new = [order.index(s) for s in sig]
-        if new == colour:
-            return colour
-        colour = new
+def _refine(rows, cols, n, cells):
+    # cells is an ordered list of vertex masks; each round splits every
+    # cell by the neighbour counts of its vertices in all cells, the parts
+    # in sorted order where the cell was, until no cell splits
+    while len(cells) < n:
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts = {}
+                for v in _bits(cell):
+                    r, c = rows[v], cols[v]
+                    outs = [(r & m).bit_count() for m in cells]
+                    sig = tuple(outs + [(c & m).bit_count() for m in cells])
+                    parts[sig] = parts.get(sig, 0) | 1 << v
+                if len(parts) > 1:
+                    out.extend(parts[s] for s in sorted(parts))
+                    continue
+            out.append(cell)
+        if len(out) == len(cells):
+            break
+        cells = out
+    return cells
 
 
 def _encode(rows, n, perm):
@@ -44,13 +59,59 @@ def _encode(rows, n, perm):
     for p, v in enumerate(perm):
         pos[v] = p
     enc = 0
-    for p in range(n):
-        row = rows[perm[p]]
+    for v in perm:
         out = 0
-        for j in _bits(row):
+        for j in _bits(rows[v]):
             out |= 1 << pos[j]
         enc = (enc << n) | out
     return enc
+
+
+def _close(mask, gens):
+    # the union of the orbits of the vertices in mask under gens
+    todo = list(_bits(mask))
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = g[x]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                todo.append(y)
+    return mask
+
+
+class _Node:
+    """An inner node of the search tree: the equitable partition reached by
+    individualizing the vertices of ``path`` in order."""
+
+    __slots__ = ("cells", "path", "at", "seen", "known", "gens")
+
+    def __init__(self, cells, path):
+        self.cells = cells
+        self.path = path
+        self.at = next(i for i, c in enumerate(cells) if c & (c - 1))
+        self.seen = 0  # explored children and their images under gens
+        self.known = 0  # automorphisms looked at so far
+        self.gens = []  # those that fix path pointwise
+
+    def next_child(self, autos):
+        """The next vertex of the target cell to individualize, or None."""
+        if len(autos) > self.known:
+            path = self.path
+            self.gens += [g for g in autos[self.known:] if all(g[p] == p for p in path)]
+            self.known = len(autos)
+            self.seen = _close(self.seen, self.gens)
+        todo = self.cells[self.at] & ~self.seen
+        if not todo:
+            return None
+        v = (todo & -todo).bit_length() - 1
+        self.seen = _close(self.seen | 1 << v, self.gens)
+        return v
+
+    def individualize(self, v):
+        cells = list(self.cells)
+        cells[self.at : self.at + 1] = [1 << v, cells[self.at] ^ 1 << v]
+        return cells
 
 
 def canonical_form(rows, seeds):
@@ -68,20 +129,44 @@ def canonical_form(rows, seeds):
     for i in range(n):
         for j in _bits(rows[i]):
             cols[j] |= 1 << i
-    colour = _refine(rows, cols, n, tuple(seeds))
-    classes = {}
-    for v in range(n):
-        classes.setdefault(colour[v], []).append(v)
-    blocks = [classes[c] for c in sorted(classes)]
-    best = None
-    best_perm = None
-    for picks in product(*(permutations(b) for b in blocks)):
-        perm = tuple(v for block in picks for v in block)
+    by_seed = {}
+    for v, s in enumerate(seeds):
+        by_seed[s] = by_seed.get(s, 0) | 1 << v
+    cells = _refine(rows, cols, n, [by_seed[s] for s in sorted(by_seed)])
+    if len(cells) == n:
+        perm = tuple(c.bit_length() - 1 for c in cells)
+        return (n, _encode(rows, n, perm)), perm
+    best = None  # (encoding, perm, path) of the least leaf so far
+    autos = []  # v -> image tables, one per leaf that encoded like the best
+    stack = [_Node(cells, ())]  # stack[d] is the node at depth d
+    while stack:
+        node = stack[-1]
+        v = node.next_child(autos)
+        if v is None:
+            stack.pop()
+            continue
+        path = node.path + (v,)
+        cells = _refine(rows, cols, n, node.individualize(v))
+        if len(cells) < n:
+            stack.append(_Node(cells, path))
+            continue
+        perm = tuple(c.bit_length() - 1 for c in cells)
         enc = _encode(rows, n, perm)
-        if best is None or enc < best:
-            best = enc
-            best_perm = perm
-    return (n, best), best_perm
+        if best is None or enc < best[0]:
+            best = (enc, perm, path)
+        elif enc == best[0]:
+            g = [0] * n
+            for a, b in zip(best[1], perm):
+                g[a] = b
+            autos.append(g)
+            # g carries the best leaf's path onto this one, so below the
+            # deepest node the two share, this branch is the image of the
+            # one explored before it
+            d = 0
+            while path[d] == best[2][d]:
+                d += 1
+            del stack[d + 1 :]
+    return (n, best[0]), best[1]
 
 
 def isomorphism(rows1, seeds1, rows2, seeds2):

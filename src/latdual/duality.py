@@ -37,8 +37,9 @@ def mdfips(L):
     a^b is covered by a.
     """
     out = []
+    mis = meet_irreducibles(L)
     for a in join_irreducibles(L):
-        for b in meet_irreducibles(L):
+        for b in mis:
             if L.leq(a, b):
                 continue
             if not L.is_cover(b, L.join(a, b)):

@@ -204,6 +204,14 @@ def _check_exit_codes(cmd, env, tmp_path):
     assert json.loads(r.stdout)["holds"] is False
 
 
+def _source_env():
+    """The environment with the imported source tree first on PYTHONPATH."""
+    src = str(Path(ld.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_is_installed(tmp_path):
     """The declared `latdual` script reads argv, prints JSON and exits with main's code.
 
@@ -213,14 +221,13 @@ def test_console_script_is_installed(tmp_path):
     as well.
     """
     mod, attr = _console_script("latdual")
-    src = str(Path(ld.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     wrapper = f"import sys; from {mod} import {attr}; sys.exit({attr}())"
-    _check_exit_codes([sys.executable, "-c", wrapper], env, tmp_path)
+    _check_exit_codes([sys.executable, "-c", wrapper], _source_env(), tmp_path)
 
     exe = shutil.which("latdual")
     if exe:
         _check_exit_codes([exe], None, tmp_path)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    _check_exit_codes([sys.executable, "-m", "latdual"], _source_env(), tmp_path)
