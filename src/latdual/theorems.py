@@ -18,7 +18,6 @@ from .convexity import cld_lattice, is_zero_closure, lattice_to_convex_geometry,
 from .digraph import Digraph, check_djsd, check_lti, check_tirs, digraph_to_json
 from .duality import (
     dual_digraph,
-    maximal_extensions,
     mdfips,
     mdfips_bruteforce,
     mpe_enumerate,
@@ -296,9 +295,14 @@ def _lem_5_1(case):
     idx = {p: i for i, p in enumerate(case.pairs)}
     G = case.dual
     for z0, a, b, c, o in find_n5_sublattices(L):
-        for x in maximal_extensions(L, a, c):
-            for y in maximal_extensions(L, c, b):
-                for w in maximal_extensions(L, b, a):
+        # the maximal extensions of the pairs (a, c), (c, b) and (b, a)
+        xs, ys, ws = (
+            [pair for pair in case.pairs if L.leq(pair[0], u) and L.leq(v, pair[1])]
+            for u, v in ((a, c), (c, b), (b, a))
+        )
+        for x in xs:
+            for y in ys:
+                for w in ws:
                     if len({x, y, w}) != 3:
                         return False, {
                             "pentagon": [z0, a, b, c, o],

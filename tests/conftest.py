@@ -1,6 +1,8 @@
 import pytest
 
 from latdual import enumerate_lattices, enumerate_tirs_digraphs
+from latdual.convexity import ClosureSystem, cld_lattice
+from oracles import convex_sets
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +28,10 @@ def tirs4():
 @pytest.fixture(scope="session")
 def tirs5():
     return enumerate_tirs_digraphs(5)
+
+
+@pytest.fixture(scope="session")
+def convex95():
+    """The 95-element lattice of convex sets of seven planar points."""
+    points = [(456, 272), (738, 821), (234, 605), (967, 104), (923, 325), (31, 22), (26, 665)]
+    return cld_lattice(ClosureSystem(len(points), convex_sets(points)))

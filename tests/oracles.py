@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive: full permutation scans for
 isomorphism, raw upper-triangular relation enumeration for lattice
-counting, and a complete 3^v sweep for maximal partial map enumeration.
-The package must agree with these on every small case.
+counting, a complete 3^v sweep for maximal partial map enumeration, and
+triple scans of the defining identities for the lattice laws. The package
+must agree with these on every small case.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 
 def bits(mask):
@@ -159,3 +160,100 @@ def naive_mpe(G):
         if maximal:
             out.append((ones, zeros))
     return sorted(out)
+
+
+# Lattice laws by their definitions, using only L.meet and L.join (x <= y
+# is read as x^y = x). Each returns the first failing tuple in
+# lexicographic order, or None when the law holds.
+
+
+def jsd_witness(L):
+    for a in range(L.n):
+        for b in range(L.n):
+            for c in range(L.n):
+                ab = L.join(a, b)
+                if ab == L.join(a, c) and ab != L.join(a, L.meet(b, c)):
+                    return (a, b, c)
+    return None
+
+
+def msd_witness(L):
+    for a in range(L.n):
+        for b in range(L.n):
+            for c in range(L.n):
+                ab = L.meet(a, b)
+                if ab == L.meet(a, c) and ab != L.meet(a, L.join(b, c)):
+                    return (a, b, c)
+    return None
+
+
+def sd_witness(L):
+    return jsd_witness(L) or msd_witness(L)
+
+
+def _dist_witness(L, elements):
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if L.meet(a, L.join(b, c)) != L.join(L.meet(a, b), L.meet(a, c)):
+                    return (a, b, c)
+    return None
+
+
+def dist_witness(L):
+    return _dist_witness(L, range(L.n))
+
+
+def mod_witness(L):
+    for a in range(L.n):
+        for b in range(L.n):
+            for c in range(L.n):
+                if L.meet(a, c) != a:
+                    continue
+                if L.join(a, L.meet(b, c)) != L.meet(L.join(a, b), c):
+                    return (a, b, c)
+    return None
+
+
+def md_witness(L):
+    """The first a other than the bottom whose interval [m, a], m the meet
+    of the lower covers of a, is not distributive, as (a,)."""
+    n = L.n
+
+    def lt(x, y):
+        return x != y and L.meet(x, y) == x
+
+    for a in range(n):
+        lower = [b for b in range(n)
+                 if lt(b, a) and not any(lt(b, c) and lt(c, a) for c in range(n))]
+        if not lower:
+            continue
+        m = lower[0]
+        for b in lower[1:]:
+            m = L.meet(m, b)
+        seg = [x for x in range(n) if L.meet(m, x) == m and L.meet(x, a) == x]
+        if _dist_witness(L, seg) is not None:
+            return (a,)
+    return None
+
+
+def convex_sets(points):
+    """Closed sets of the convex geometry of planar points in general
+    position, as bitmasks: S is closed iff no other point lies in a
+    triangle of S."""
+
+    def inside(p, a, b, c):
+        def cross(o, u, v):
+            return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+
+        s = [cross(a, b, p) > 0, cross(b, c, p) > 0, cross(c, a, p) > 0]
+        return all(s) or not any(s)
+
+    k = len(points)
+    closed = []
+    for mask in range(1 << k):
+        members = [points[i] for i in range(k) if mask >> i & 1]
+        outside = [points[i] for i in range(k) if not mask >> i & 1]
+        if not any(inside(p, *t) for p in outside for t in combinations(members, 3)):
+            closed.append(mask)
+    return closed

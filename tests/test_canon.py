@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import latdual as ld
 from latdual import _canon
 from latdual.cli import main
-from latdual.convexity import ClosureSystem, cld_lattice
 from latdual.digraph import _digraph_invariants, digraph_canonicalize
 from latdual.fixtures import m_k
 from latdual.lattice import _invariants
@@ -48,27 +47,6 @@ def shuffled_rows(rows, seed):
     perm = list(range(len(rows)))
     random.Random(seed).shuffle(perm)
     return relabel_rows(rows, perm)
-
-
-def convex_sets(points):
-    """Closed sets of the convex geometry of planar points in general
-    position: S is closed iff no other point lies in a triangle of S."""
-
-    def inside(p, a, b, c):
-        def cross(o, u, v):
-            return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
-
-        s = [cross(a, b, p) > 0, cross(b, c, p) > 0, cross(c, a, p) > 0]
-        return all(s) or not any(s)
-
-    k = len(points)
-    closed = []
-    for mask in range(1 << k):
-        members = [points[i] for i in range(k) if mask >> i & 1]
-        outside = [points[i] for i in range(k) if not mask >> i & 1]
-        if not any(inside(p, *t) for p in outside for t in combinations(members, 3)):
-            closed.append(mask)
-    return ClosureSystem(k, closed)
 
 
 def graph(v, edges, directed=False):
@@ -300,9 +278,7 @@ def test_roundtrip_of_boolean_32(tmp_path, capsys):
     assert _roundtrip(tmp_path, capsys, ld.lattice_to_json(boolean(5))) == (0, True)
 
 
-def test_convex_geometry_lattice_isomorphism():
+def test_convex_geometry_lattice_isomorphism(convex95):
     # colour refinement alone leaves six classes of 4 and 24 of 2
-    points = [(456, 272), (738, 821), (234, 605), (967, 104), (923, 325), (31, 22), (26, 665)]
-    L = cld_lattice(convex_sets(points))
-    assert L.n == 95
-    assert ld.lattice_isomorphic(L, shuffled(L, 1))[0] is True
+    assert convex95.n == 95
+    assert ld.lattice_isomorphic(convex95, shuffled(convex95, 1))[0] is True

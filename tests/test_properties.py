@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latdual as ld
+import oracles
+from latdual.convexity import ClosureSystem, cld_lattice
 from latdual.lattice import interval, join_irreducibles, meet_irreducibles, mu, order_dual
-from latdual.properties import LATTICE_CHECKS, DIGRAPH_CHECKS
+from latdual.properties import LATTICE_CHECKS, DIGRAPH_CHECKS, PropertyReport
 
 LATTICE_PROPS = ("usm", "lsm", "mod", "dist", "jsd", "msd", "sd", "wjsd",
                  "jmlsm", "jmusm", "labc", "uabc", "md")
@@ -200,3 +204,71 @@ def test_unknown_names_raise():
         ld.check_lattice_property("shiny", ld.fixture("B2"))
     with pytest.raises(ld.UnknownProperty):
         ld.check_digraph_property("usm", ld.dual_digraph(ld.fixture("B2")))
+
+
+# the deciders that read the row tables directly, and those built on them
+WITNESS_ORACLES = {
+    "jsd": oracles.jsd_witness,
+    "msd": oracles.msd_witness,
+    "sd": oracles.sd_witness,
+    "dist": oracles.dist_witness,
+    "mod": oracles.mod_witness,
+    "md": oracles.md_witness,
+}
+
+
+def _assert_reports_match_oracles(L, label):
+    """Verdict and witness of each decider equal the definitional scan's."""
+    verdicts = {}
+    for prop, oracle in WITNESS_ORACLES.items():
+        w = oracle(L)
+        assert ld.check_lattice_property(prop, L) == PropertyReport(prop, w is None, w), \
+            (label, prop)
+        verdicts[prop] = w is None
+    return verdicts
+
+
+def test_deciders_match_oracles_on_catalog_and_duals():
+    seen = set()
+    entries = ld.enumerate_lattices(8).entries
+    assert len(entries) == 300
+    for i, L in enumerate(entries):
+        for label, M in ((i, L), (f"dual {i}", order_dual(L))):
+            seen |= set(_assert_reports_match_oracles(M, label).items())
+    # every law both holds and fails somewhere in the catalog
+    assert seen == {(p, v) for p in WITNESS_ORACLES for v in (True, False)}
+
+
+def test_deciders_match_oracles_on_tirs_map_lattices(tirs5):
+    assert len(tirs5) == 322
+    for i, G in enumerate(tirs5):
+        _assert_reports_match_oracles(ld.mpe_lattice(G), i)
+
+
+def test_deciders_match_oracles_on_convex_geometry(convex95):
+    verdicts = _assert_reports_match_oracles(convex95, "convex95")
+    # meet-distributive, so the jsd and md checks run to the end
+    assert verdicts["jsd"] and verdicts["md"]
+    assert not verdicts["dist"]
+
+
+@st.composite
+def set_lattices(draw):
+    """The lattice of an intersection-closed family on up to 5 points,
+    with its elements shuffled."""
+    k = draw(st.integers(1, 5))
+    family = set(draw(st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=16)))
+    family.add((1 << k) - 1)
+    while True:
+        meets = {a & b for a in family for b in family} - family
+        if not meets:
+            break
+        family |= meets
+    L = cld_lattice(ClosureSystem(k, family))
+    return ld.relabel(L, draw(st.permutations(range(L.n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_lattices())
+def test_deciders_match_oracles_on_drawn_lattices(L):
+    _assert_reports_match_oracles(L, L.up)
