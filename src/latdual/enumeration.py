@@ -1,24 +1,31 @@
 """Exhaustive enumeration of small lattices and small dual-class digraphs,
 one representative per isomorphism class.
 
-Lattices are generated levelwise: a meet semilattice with a naturally
+Meet semilattices are generated levelwise: a semilattice with a naturally
 labelled order (the labelling is a linear extension) grows by one new
 maximal element placed above a down-set, subject to the new element
 having a meet with everything. Removing a maximal element from any such
 semilattice lands back in the previous level, so the sweep is complete;
-canonical forms collapse labellings. Lattices are the semilattices with
-a single maximal element.
+canonical forms collapse labellings. A lattice on n elements is a meet
+semilattice on n - 1 elements with a top adjoined, and adjoining a top
+to a meet semilattice always gives a lattice.
 
-Digraphs are found the blunt way, by scanning every reflexive digraph on
-v vertices and keeping those that pass the axiom check. That keeps this
-direction independent of the lattice-side generator.
+Digraphs are found by a depth-first assignment of reflexive rows that
+makes two cuts before the full axiom check, in the spirit of McKay's
+orderly generation. It keeps only rows whose out-degrees (loop included)
+do not increase with the vertex: every digraph has such a relabelling,
+so every isomorphism class keeps a member. It drops a partial assignment
+as soon as two fixed rows give an arc x -> y with out(x) a proper subset
+of out(y): reduction forbids that arc, and the test reads those two rows
+alone, so no extension can repair it. Canonical forms then collapse the
+labellings that remain. The search never consults the lattice-side
+generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from . import _canon
 from .digraph import Digraph, check_tirs
@@ -127,12 +134,10 @@ def _semilattice_level(k):
 
 @lru_cache(maxsize=None)
 def _lattice_level(n):
+    top = 1 << (n - 1)
     out = []
-    for rows in _semilattice_level(n):
-        maximal = [i for i in range(n) if rows[i] == 1 << i]
-        if len(maximal) != 1:
-            continue
-        L = canonicalize(FiniteLattice(rows))
+    for rows in _semilattice_level(n - 1) if n > 1 else ((),):
+        L = canonicalize(FiniteLattice([r | top for r in rows] + [top]))
         out.append((canonical_key(L), L))
     out.sort(key=lambda kv: kv[0])
     return tuple(L for _, L in out)
@@ -165,51 +170,38 @@ def _reflexive_row_options(v):
     return opts
 
 
-def _tirs_ok(rows, v):
-    # inlined version of check_tirs with early exits, no object overhead
-    cols = [0] * v
-    for i in range(v):
-        r = rows[i]
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    for x in range(v):
-        rx = rows[x]
-        for y in range(v):
-            if x == y or not rx >> y & 1:
+def _tirs_candidates(v):
+    """Reflexive digraphs on v vertices, in the order of the full product
+    of row options, whose out-degrees do not increase with the vertex and
+    which have no arc x -> y with out(x) a proper subset of out(y)."""
+    options = _reflexive_row_options(v)
+    rows = []
+
+    def extend(i, cap):
+        if i == v:
+            yield tuple(rows)
+            return
+        for r in options[i]:
+            deg = bin(r).count("1")
+            # an earlier row has at least deg arcs, so only an arc from
+            # the new row can point into a proper superset
+            if deg > cap or any(
+                r >> j & 1 and r & ~rows[j] == 0 and r != rows[j] for j in range(i)
+            ):
                 continue
-            ry = rows[y]
-            if rx != ry and rx & ~ry == 0:
-                return False
-            if cols[y] != cols[x] and cols[y] & ~cols[x] == 0:
-                return False
-    for x in range(v):
-        for y in range(x + 1, v):
-            if rows[x] == rows[y] and cols[x] == cols[y]:
-                return False
-    for x in range(v):
-        rx = rows[x]
-        r = rx
-        while r:
-            low = r & -r
-            y = low.bit_length() - 1
-            r ^= low
-            cy = cols[y]
-            for z in range(v):
-                if rows[z] & ~rx == 0 and cols[z] & ~cy == 0:
-                    break
-            else:
-                return False
-    return True
+            rows.append(r)
+            yield from extend(i + 1, deg)
+            rows.pop()
+
+    return extend(0, v)
 
 
 @lru_cache(maxsize=None)
 def _tirs_level(v):
     """Canonical representatives of axiom-passing digraphs on v vertices."""
     reps = {}
-    for rows in product(*_reflexive_row_options(v)):
-        if not _tirs_ok(rows, v):
+    for rows in _tirs_candidates(v):
+        if not check_tirs(Digraph(rows)).ok:
             continue
         key, canon = _canonical_rows(rows, v)
         reps.setdefault(key, canon)

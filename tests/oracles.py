@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: full permutation scans for
 isomorphism, raw upper-triangular relation enumeration for lattice
-counting, a complete 3^v sweep for maximal partial map enumeration, and
-triple scans of the defining identities for the lattice laws. The package
+counting, a sweep of every reflexive digraph for the TiRS classes, a
+complete 3^v sweep for maximal partial map enumeration, and triple scans
+of the defining identities for the lattice laws. The package
 must agree with these on every small case.
 """
 
@@ -129,6 +130,66 @@ def reflexive_rows(v):
             sub = (sub - 1) & rest
         options.append(opts)
     yield from product(*options)
+
+
+# Digraph axioms by their definitions, on out-sets and in-sets held as
+# frozensets; rows[x] has bit y set iff there is an arc x -> y.
+
+
+def _out_in(rows):
+    v = len(rows)
+    out = [frozenset(bits(r)) for r in rows]
+    inn = [frozenset(x for x in range(v) if y in out[x]) for y in range(v)]
+    return out, inn
+
+
+def reduction(rows):
+    """No arc x -> y with out(x) strictly inside out(y) or in(y) strictly
+    inside in(x)."""
+    out, inn = _out_in(rows)
+    return not any(
+        out[x] < out[y] or inn[y] < inn[x] for x in range(len(rows)) for y in out[x]
+    )
+
+
+def is_tirs(rows):
+    """Separation, reduction and interpolation."""
+    out, inn = _out_in(rows)
+    v = len(rows)
+    separated = all(
+        out[x] != out[y] or inn[x] != inn[y] for x in range(v) for y in range(x + 1, v)
+    )
+    interpolated = all(
+        any(out[z] <= out[x] and inn[z] <= inn[y] for z in range(v))
+        for x in range(v)
+        for y in out[x]
+    )
+    return separated and reduction(rows) and interpolated
+
+
+def djsd_lti_r(rows):
+    """Distinct in-sets, lower interpolation (every arc u -> w has z with
+    out(z) = out(u) and in(z) inside in(w)) and reduction."""
+    out, inn = _out_in(rows)
+    v = len(rows)
+    lti = all(
+        any(out[z] == out[u] and inn[z] <= inn[w] for z in range(v))
+        for u in range(v)
+        for w in out[u]
+    )
+    return len(set(inn)) == v and lti and reduction(rows)
+
+
+def tirs_classes(v):
+    """One representative, the least relabelling, of each isomorphism
+    class of TiRS digraphs on v vertices."""
+    return sorted(
+        {
+            min(relabel_rows(rows, p) for p in permutations(range(v)))
+            for rows in reflexive_rows(v)
+            if is_tirs(rows)
+        }
+    )
 
 
 def naive_mpe(G):

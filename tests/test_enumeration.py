@@ -1,8 +1,17 @@
 import pytest
 
 import latdual as ld
+from latdual import enumeration as en
 from latdual.enumeration import MAX_LATTICE_N, MAX_TIRS_V
-from oracles import count_lattice_classes, digraph_isomorphic_brute, lattice_isomorphic_brute
+from oracles import (
+    bits,
+    count_lattice_classes,
+    digraph_isomorphic_brute,
+    lattice_isomorphic_brute,
+    reflexive_rows,
+    rows_isomorphic_brute,
+    tirs_classes,
+)
 
 EXPECTED_LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 EXPECTED_TIRS_COUNTS = {1: 1, 2: 2, 3: 6, 4: 32, 5: 281}
@@ -65,8 +74,6 @@ def test_lattice_bound_errors():
 
 def test_determinism_under_cache_reset(catalog5):
     keys = [ld.canonical_key(L) for L in catalog5.entries]
-    from latdual import enumeration as en
-
     en._semilattice_level.cache_clear()
     en._lattice_level.cache_clear()
     again = [ld.canonical_key(L) for L in ld.enumerate_lattices(5).entries]
@@ -79,6 +86,32 @@ def test_tirs_counts(tirs4, tirs5):
         by_size[G.v] = by_size.get(G.v, 0) + 1
     assert by_size == EXPECTED_TIRS_COUNTS
     assert len(tirs4) == 41
+
+
+@pytest.mark.parametrize("v", range(1, 5))
+def test_tirs_level_matches_definitional_classes(v):
+    level = en._tirs_level(v)
+    classes = tirs_classes(v)
+    assert len(classes) == len(level)
+    for rows in classes:
+        assert sum(rows_isomorphic_brute(rows, canon) for canon in level) == 1, rows
+
+
+def _degree_ordered_and_out_reduced(rows):
+    out = [frozenset(bits(r)) for r in rows]
+    degrees = [len(s) for s in out]
+    return degrees == sorted(degrees, reverse=True) and not any(
+        out[x] < out[y] for x in range(len(rows)) for y in out[x]
+    )
+
+
+@pytest.mark.parametrize("v", range(1, 5))
+def test_tirs_candidates_are_the_filtered_product(v):
+    """The pruned depth-first scan yields exactly the reflexive digraphs
+    with non-increasing out-degrees and no arc into a strict out-superset,
+    in product order."""
+    want = [rows for rows in reflexive_rows(v) if _degree_ordered_and_out_reduced(rows)]
+    assert list(en._tirs_candidates(v)) == want
 
 
 def test_tirs_entries_satisfy_axioms(tirs5):

@@ -4,6 +4,8 @@ import pytest
 
 import latdual as ld
 from latdual.theorems import REGISTRY, REGISTRY_IDS, TheoremCheck
+from oracles import count_lattice_classes, djsd_lti_r, reflexive_rows
+from test_enumeration import EXPECTED_LATTICE_COUNTS, EXPECTED_TIRS_COUNTS
 
 PINNED_IDS = (
     "PROP_2_2", "LEM_2_3", "PROP_2_5", "THM_2_6", "PLOSCICA_LEMMA",
@@ -15,10 +17,13 @@ PINNED_IDS = (
     "COR_5_6",
 )
 
+# records checked on the digraph catalog as well as on the lattice catalog
+DIGRAPH_IDS = ("THM_2_6", "PLOSCICA_LEMMA", "THM_3_13", "THM_3_15", "THM_4_6_I",
+               "THM_4_6_II", "THM_4_6_III", "THM_4_7", "PROP_4_8", "THM_4_10")
+
 # id -> (checked, non-converse witnesses) at bound 6
 EXPECT_AT_6 = {rid: (25, 0) for rid in PINNED_IDS}
-for rid in ("THM_2_6", "PLOSCICA_LEMMA", "THM_3_13", "THM_3_15", "THM_4_6_I",
-            "THM_4_6_II", "THM_4_6_III", "THM_4_7", "PROP_4_8"):
+for rid in DIGRAPH_IDS[:-1]:
     EXPECT_AT_6[rid] = (66, 0)
 EXPECT_AT_6["THM_4_10"] = (89, 0)
 EXPECT_AT_6["THM_4_2"] = (25, 4)
@@ -44,6 +49,30 @@ def test_full_verification_passes():
         want_checked, want_nc = EXPECT_AT_6[c.id]
         assert c.checked == want_checked, c.id
         assert len(c.non_converse_witnesses) == want_nc, c.id
+
+
+def test_full_verification_at_the_real_bound():
+    """At max_n = 8 every statement passes, and each count of checked
+    cases is the sum of independently known catalog sizes."""
+    lattices = sum(count_lattice_classes(n) for n in range(1, 7)) + sum(
+        EXPECTED_LATTICE_COUNTS[n] for n in (7, 8)
+    )
+    digraphs = sum(EXPECTED_TIRS_COUNTS.values())
+    scanned = sum(djsd_lti_r(rows) for v in range(1, 4) for rows in reflexive_rows(v))
+    assert (lattices, digraphs, scanned) == (300, 322, 23)
+    checks = ld.verify_theorems(max_n=8)
+    assert tuple(c.id for c in checks) == PINNED_IDS
+    for c in checks:
+        assert c.passed and c.counterexamples == [], c.id
+        domains, want = ["lattices(n<=8)"], lattices
+        if c.id in DIGRAPH_IDS:
+            domains.append("digraphs(v<=5)")
+            want += digraphs
+        if c.id == "THM_4_10":
+            domains.append("reflexive-scan(v<=3)")
+            want += scanned
+        assert c.domain == "+".join(domains), c.id
+        assert c.checked == want, c.id
 
 
 def test_report_rendering():
