@@ -22,10 +22,9 @@ from .digraph import (
     G0,
     G1,
     G2,
-    CheckResult,
     Digraph,
     ForbiddenPattern,
-    TirsReport,
+    PropertyReport,
     check_djsd,
     check_dmsd,
     check_dsd,
@@ -53,7 +52,6 @@ from .duality import (
     mdfips,
     mdfips_bruteforce,
     mpe_enumerate,
-    mpe_enumerate_scan,
     mpe_lattice,
     roundtrip_digraph,
     roundtrip_lattice,
@@ -95,7 +93,6 @@ from .lattice import (
     relabel,
 )
 from .properties import (
-    PropertyReport,
     check_digraph_property,
     check_lattice_property,
     is_distributive,

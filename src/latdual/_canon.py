@@ -6,7 +6,9 @@ ordered by caller-supplied invariants, and refinement splits every cell by
 the number of out- and in-neighbours each vertex has in each cell until
 the partition is equitable. Splits stay in place inside their cell, so the
 cell order of the invariants (heights first for lattices) survives into
-the canonical labelling.
+the canonical labelling. Digraph callers pass a constant seed: the first
+round splits the single cell by (out-degree, in-degree) in sorted order,
+which is the partition that those degrees as seeds would give.
 
 A search tree then individualizes, in turn, each vertex of the first cell
 with more than one vertex and refines again. Its leaves are vertex
@@ -21,12 +23,7 @@ digraphs and lattices of convex sets take milliseconds.
 
 from __future__ import annotations
 
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from ._bits import bits, permute, transpose
 
 
 def _refine(rows, cols, n, cells):
@@ -38,7 +35,7 @@ def _refine(rows, cols, n, cells):
         for cell in cells:
             if cell & (cell - 1):
                 parts = {}
-                for v in _bits(cell):
+                for v in bits(cell):
                     r, c = rows[v], cols[v]
                     outs = [(r & m).bit_count() for m in cells]
                     sig = tuple(outs + [(c & m).bit_count() for m in cells])
@@ -55,21 +52,15 @@ def _refine(rows, cols, n, cells):
 
 def _encode(rows, n, perm):
     # perm maps position -> original vertex
-    pos = [0] * n
-    for p, v in enumerate(perm):
-        pos[v] = p
     enc = 0
-    for v in perm:
-        out = 0
-        for j in _bits(rows[v]):
-            out |= 1 << pos[j]
-        enc = (enc << n) | out
+    for row in permute(rows, perm):
+        enc = (enc << n) | row
     return enc
 
 
 def _close(mask, gens):
     # the union of the orbits of the vertices in mask under gens
-    todo = list(_bits(mask))
+    todo = list(bits(mask))
     while todo:
         x = todo.pop()
         for g in gens:
@@ -125,10 +116,7 @@ def canonical_form(rows, seeds):
     n = len(rows)
     if n == 0:
         return (0, 0), ()
-    cols = [0] * n
-    for i in range(n):
-        for j in _bits(rows[i]):
-            cols[j] |= 1 << i
+    cols = transpose(rows)
     by_seed = {}
     for v, s in enumerate(seeds):
         by_seed[s] = by_seed.get(s, 0) | 1 << v

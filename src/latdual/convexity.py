@@ -12,24 +12,11 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .digraph import CheckResult
+from ._bits import bits, inclusion, mask
+from .digraph import PropertyReport
 from .errors import NotMeetDistributive
 from .lattice import FiniteLattice, join_irreducibles
 from .properties import is_meet_distributive
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask(xs):
-    out = 0
-    for x in xs:
-        out |= 1 << x
-    return out
 
 
 class ClosureSystem:
@@ -43,21 +30,21 @@ class ClosureSystem:
         masks = sorted(set(int(m) for m in closed), key=lambda m: (bin(m).count("1"), m))
         for m in masks:
             if m & ~full:
-                raise ValueError(f"closed set {sorted(_bits(m))} leaves the ground set")
+                raise ValueError(f"closed set {sorted(bits(m))} leaves the ground set")
         if full not in masks:
             raise ValueError("the ground set itself must be closed")
         for i, a in enumerate(masks):
             for b in masks[i + 1 :]:
                 if a & b not in masks:
                     raise ValueError(
-                        f"intersection of {sorted(_bits(a))} and {sorted(_bits(b))}"
+                        f"intersection of {sorted(bits(a))} and {sorted(bits(b))}"
                         " is not closed"
                     )
         self.closed = tuple(masks)
 
     @classmethod
     def from_sets(cls, ground, sets):
-        return cls(ground, [_mask(s) for s in sets])
+        return cls(ground, [mask(s) for s in sets])
 
     @cached_property
     def _closed_set(self):
@@ -89,10 +76,10 @@ class ClosureSystem:
 
 def closure_of(C, ys):
     """Smallest closed set containing ys, as a frozenset."""
-    m = _mask(ys)
+    m = mask(ys)
     if m & ~((1 << C.ground) - 1):
         raise ValueError("closure argument leaves the ground set")
-    return frozenset(_bits(C.close_mask(m)))
+    return frozenset(bits(C.close_mask(m)))
 
 
 def is_zero_closure(C):
@@ -109,15 +96,15 @@ def satisfies_aep(C):
     """
     for a in C.closed:
         outside = ~a & ((1 << C.ground) - 1)
-        for x in _bits(outside):
+        for x in bits(outside):
             cx = C.close_mask(a | 1 << x)
-            for y in _bits(outside):
+            for y in bits(outside):
                 if y == x:
                     continue
                 cy = C.close_mask(a | 1 << y)
                 if cy >> x & 1 and cx >> y & 1:
-                    return CheckResult(False, (tuple(_bits(a)), x, y))
-    return CheckResult(True)
+                    return PropertyReport("aep", False, (tuple(bits(a)), x, y))
+    return PropertyReport("aep", True)
 
 
 def cld_lattice(C):
@@ -126,17 +113,8 @@ def cld_lattice(C):
     Elements are indexed by (set size, mask) increasing; labels show the
     underlying sets.
     """
-    masks = C.closed
-    k = len(masks)
-    up = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if masks[i] & ~masks[j] == 0:
-                row |= 1 << j
-        up.append(row)
-    labels = tuple("{" + ",".join(map(str, _bits(m))) + "}" for m in masks)
-    return FiniteLattice(up, labels)
+    labels = tuple("{" + ",".join(map(str, bits(m))) + "}" for m in C.closed)
+    return FiniteLattice(inclusion(C.closed), labels)
 
 
 def lattice_to_convex_geometry(L):
@@ -154,14 +132,14 @@ def lattice_to_convex_geometry(L):
     pos = {j: i for i, j in enumerate(ji)}
     closed = set()
     for x in range(L.n):
-        closed.add(_mask(pos[j] for j in ji if L.leq(j, x)))
+        closed.add(mask(pos[j] for j in ji if L.leq(j, x)))
     return ClosureSystem(len(ji), closed)
 
 
 def closure_to_json(C):
     return {
         "ground": C.ground,
-        "closed": [sorted(_bits(m)) for m in C.closed],
+        "closed": [sorted(bits(m)) for m in C.closed],
     }
 
 

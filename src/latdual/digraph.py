@@ -8,46 +8,25 @@ sets that the separation and interpolation axioms quantify over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import _canon
+from ._bits import bits, transpose
 from .errors import NotReflexive
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a single axiom check; witness explains a failure."""
+class PropertyReport:
+    """The verdict of a decider on one named property: truthy iff it
+    holds, and otherwise carrying the first failing witness."""
 
+    property: str
     holds: bool
     witness: tuple | None = None
 
     def __bool__(self):
         return self.holds
-
-
-@dataclass(frozen=True)
-class TirsReport:
-    """Separation (s), reduction (r) and interpolation (ti) verdicts."""
-
-    s: bool
-    r: bool
-    ti: bool
-    witnesses: dict = field(compare=False)
-
-    @property
-    def ok(self):
-        return self.s and self.r and self.ti
-
-    def __bool__(self):
-        return self.ok
 
 
 class Digraph:
@@ -78,20 +57,10 @@ class Digraph:
 
     @cached_property
     def cols(self):
-        cols = [0] * self.v
-        for x in range(self.v):
-            for y in _bits(self.rows[x]):
-                cols[y] |= 1 << x
-        return tuple(cols)
+        return transpose(self.rows)
 
     def has_arc(self, x, y):
         return bool(self.rows[x] >> y & 1)
-
-    def out_mask(self, x):
-        return self.rows[x]
-
-    def in_mask(self, x):
-        return self.cols[x]
 
     @property
     def is_reflexive(self):
@@ -99,7 +68,7 @@ class Digraph:
 
     @cached_property
     def arcs(self):
-        return tuple((x, y) for x in range(self.v) for y in _bits(self.rows[x]))
+        return tuple((x, y) for x in range(self.v) for y in bits(self.rows[x]))
 
     def reverse(self):
         return Digraph(self.cols, self.mdfips, self.names)
@@ -119,11 +88,11 @@ class Digraph:
 
 
 def out_set(G, x):
-    return frozenset(_bits(G.rows[x]))
+    return frozenset(bits(G.rows[x]))
 
 
 def in_set(G, x):
-    return frozenset(_bits(G.cols[x]))
+    return frozenset(bits(G.cols[x]))
 
 
 def _require_reflexive(G):
@@ -132,79 +101,85 @@ def _require_reflexive(G):
             raise NotReflexive(f"vertex {x} has no loop")
 
 
-def check_tirs(G):
-    """Check the three axioms of the dual digraph class.
-
-    Separation: distinct vertices differ in out-set or in-set.
-    Reduction: a strict out-set inclusion x -> y, or a strict in-set
-    inclusion y -> x, forbids the arc (x, y).
-    Interpolation: every arc (x, y) admits z with out(z) a subset of
-    out(x) and in(z) a subset of in(y).
-    """
-    _require_reflexive(G)
-    rows, cols, v = G.rows, G.cols, G.v
-    s_w = r_w = ti_w = None
-    for x in range(v):
-        if s_w:
-            break
-        for y in range(x + 1, v):
+def _separation_witness(G):
+    """Distinct vertices differ in out-set or in-set."""
+    rows, cols = G.rows, G.cols
+    for x in range(G.v):
+        for y in range(x + 1, G.v):
             if rows[x] == rows[y] and cols[x] == cols[y]:
-                s_w = (x, y)
-                break
-    for x in range(v):
-        if r_w:
-            break
-        for y in range(v):
-            if x == y or not rows[x] >> y & 1:
-                continue
+                return (x, y)
+    return None
+
+
+def _reduction_witness(G):
+    """A strict out-set inclusion x -> y, or a strict in-set inclusion
+    y -> x, forbids the arc (x, y)."""
+    rows, cols = G.rows, G.cols
+    for x in range(G.v):
+        for y in bits(rows[x] & ~(1 << x)):
             if rows[x] != rows[y] and rows[x] & ~rows[y] == 0:
-                r_w = (x, y)
-                break
+                return (x, y)
             if cols[y] != cols[x] and cols[y] & ~cols[x] == 0:
-                r_w = (x, y)
-                break
-    for x in range(v):
-        if ti_w:
-            break
-        for y in _bits(rows[x]):
+                return (x, y)
+    return None
+
+
+def _interpolation_witness(G):
+    """Every arc (x, y) admits z with out(z) a subset of out(x) and in(z)
+    a subset of in(y)."""
+    rows, cols = G.rows, G.cols
+    for x in range(G.v):
+        for y in bits(rows[x]):
             if not any(
                 rows[z] & ~rows[x] == 0 and cols[z] & ~cols[y] == 0
-                for z in range(v)
+                for z in range(G.v)
             ):
-                ti_w = (x, y)
-                break
-    return TirsReport(
-        s=s_w is None,
-        r=r_w is None,
-        ti=ti_w is None,
-        witnesses={"s": s_w, "r": r_w, "ti": ti_w},
-    )
+                return (x, y)
+    return None
+
+
+def check_tirs(G):
+    """Check separation, reduction and interpolation, in that order.
+
+    A failure stops the check; its witness is (axiom, pair) with axiom
+    one of "s", "r", "ti".
+    """
+    _require_reflexive(G)
+    for axiom, find in (
+        ("s", _separation_witness),
+        ("r", _reduction_witness),
+        ("ti", _interpolation_witness),
+    ):
+        w = find(G)
+        if w is not None:
+            return PropertyReport("tirs", False, (axiom, w))
+    return PropertyReport("tirs", True)
 
 
 def check_lti(G):
     """Every arc (u, v) admits w with out(w) = out(u) and in(w) inside in(v)."""
     rows, cols = G.rows, G.cols
     for u in range(G.v):
-        for v_ in _bits(rows[u]):
+        for v_ in bits(rows[u]):
             if not any(
                 rows[w] == rows[u] and cols[w] & ~cols[v_] == 0
                 for w in range(G.v)
             ):
-                return CheckResult(False, (u, v_))
-    return CheckResult(True)
+                return PropertyReport("lti", False, (u, v_))
+    return PropertyReport("lti", True)
 
 
 def check_uti(G):
     """Every arc (u, v) admits w with out(w) inside out(u) and in(w) = in(v)."""
     rows, cols = G.rows, G.cols
     for u in range(G.v):
-        for v_ in _bits(rows[u]):
+        for v_ in bits(rows[u]):
             if not any(
                 rows[w] & ~rows[u] == 0 and cols[w] == cols[v_]
                 for w in range(G.v)
             ):
-                return CheckResult(False, (u, v_))
-    return CheckResult(True)
+                return PropertyReport("uti", False, (u, v_))
+    return PropertyReport("uti", True)
 
 
 def check_djsd(G):
@@ -212,8 +187,8 @@ def check_djsd(G):
     for x in range(G.v):
         for y in range(x + 1, G.v):
             if G.cols[x] == G.cols[y]:
-                return CheckResult(False, (x, y))
-    return CheckResult(True)
+                return PropertyReport("djsd", False, (x, y))
+    return PropertyReport("djsd", True)
 
 
 def check_dmsd(G):
@@ -221,37 +196,38 @@ def check_dmsd(G):
     for x in range(G.v):
         for y in range(x + 1, G.v):
             if G.rows[x] == G.rows[y]:
-                return CheckResult(False, (x, y))
-    return CheckResult(True)
+                return PropertyReport("dmsd", False, (x, y))
+    return PropertyReport("dmsd", True)
 
 
 def check_dsd(G):
-    both = check_djsd(G)
-    if not both:
-        return both
-    return check_dmsd(G)
+    r = check_djsd(G)
+    if r:
+        r = check_dmsd(G)
+    return PropertyReport("dsd", r.holds, r.witness)
 
 
 def is_transitive(G):
     rows = G.rows
     for x in range(G.v):
-        for y in _bits(rows[x]):
+        for y in bits(rows[x]):
             extra = rows[y] & ~rows[x]
             if extra:
-                return CheckResult(False, (x, y, next(_bits(extra))))
-    return CheckResult(True)
+                return PropertyReport("trans", False, (x, y, next(bits(extra))))
+    return PropertyReport("trans", True)
 
 
 def is_poset(G):
     """Reflexive, transitive and antisymmetric."""
     for x in range(G.v):
         if not G.rows[x] >> x & 1:
-            return CheckResult(False, (x,))
+            return PropertyReport("poset", False, (x,))
     for x in range(G.v):
         for y in range(x + 1, G.v):
             if G.rows[x] >> y & 1 and G.rows[y] >> x & 1:
-                return CheckResult(False, (x, y))
-    return is_transitive(G)
+                return PropertyReport("poset", False, (x, y))
+    r = is_transitive(G)
+    return PropertyReport("poset", r.holds, r.witness)
 
 
 @dataclass(frozen=True)
@@ -265,8 +241,6 @@ class ForbiddenPattern:
 G0 = ForbiddenPattern("G0", ((0, 1), (1, 2)))
 G1 = ForbiddenPattern("G1", ((0, 1),))
 G2 = ForbiddenPattern("G2", ())
-
-PATTERNS = {"G0": G0, "G1": G1, "G2": G2}
 
 
 def _classify_triple(G, x, y, z):
@@ -309,8 +283,8 @@ def check_fis(G):
             for z in range(y + 1, G.v):
                 kind = _classify_triple(G, x, y, z)
                 if kind in ("G0", "G1"):
-                    return CheckResult(False, (kind, (x, y, z)))
-    return CheckResult(True)
+                    return PropertyReport("fis", False, (kind, (x, y, z)))
+    return PropertyReport("fis", True)
 
 
 def check_wt0(G):
@@ -324,8 +298,8 @@ def check_wt0(G):
                 if not rows[y] >> z & 1 or rows[z] >> y & 1:
                     continue
                 if not rows[x] >> z & 1 and not rows[z] >> x & 1:
-                    return CheckResult(False, (x, y, z))
-    return CheckResult(True)
+                    return PropertyReport("wt0", False, (x, y, z))
+    return PropertyReport("wt0", True)
 
 
 def check_wt1(G):
@@ -339,43 +313,20 @@ def check_wt1(G):
                 if rows[y] >> z & 1 or rows[z] >> y & 1:
                     continue
                 if not rows[x] >> z & 1 and not rows[z] >> x & 1:
-                    return CheckResult(False, (x, y, z))
-    return CheckResult(True)
-
-
-def _digraph_invariants(G):
-    return tuple(
-        (bin(G.rows[i]).count("1"), bin(G.cols[i]).count("1"))
-        for i in range(G.v)
-    )
+                    return PropertyReport("wt1", False, (x, y, z))
+    return PropertyReport("wt1", True)
 
 
 def digraph_isomorphic(G1, G2):
     """Arc-preserving bijection test; returns (ok, mapping or None)."""
     if G1.v != G2.v:
         return False, None
-    m = _canon.isomorphism(
-        G1.rows, _digraph_invariants(G1), G2.rows, _digraph_invariants(G2)
-    )
+    m = _canon.isomorphism(G1.rows, (0,) * G1.v, G2.rows, (0,) * G2.v)
     return (m is not None), m
 
 
 def digraph_canonical_key(G):
-    return _canon.canonical_form(G.rows, _digraph_invariants(G))[0]
-
-
-def digraph_canonicalize(G):
-    _, perm = _canon.canonical_form(G.rows, _digraph_invariants(G))
-    pos = [0] * G.v
-    for p, orig in enumerate(perm):
-        pos[orig] = p
-    rows = [0] * G.v
-    for p in range(G.v):
-        for j in _bits(G.rows[perm[p]]):
-            rows[p] |= 1 << pos[j]
-    mdfips = tuple(G.mdfips[perm[p]] for p in range(G.v)) if G.mdfips else None
-    names = tuple(G.names[perm[p]] for p in range(G.v)) if G.names else None
-    return Digraph(rows, mdfips, names)
+    return _canon.canonical_form(G.rows, (0,) * G.v)[0]
 
 
 def digraph_to_json(G):
@@ -419,7 +370,7 @@ def digraph_to_dot(G):
     for x in range(G.v):
         lines.append(f'  n{x} [label="{G.name_of(x)}"];')
     for x in range(G.v):
-        for y in _bits(G.rows[x]):
+        for y in bits(G.rows[x]):
             if y == x:
                 continue
             if G.has_arc(y, x):

@@ -17,16 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._bits import bits, inclusion
 from .digraph import Digraph
-from .errors import NotALattice, NotDisjoint
+from .errors import BoundTooLarge, NotALattice, NotDisjoint
 from .lattice import FiniteLattice, join_irreducibles, meet_irreducibles
 
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# the most elements a map lattice may have; a digraph of v isolated loops
+# has 2^v maximal maps, and the lattice tables grow with the square
+MAX_MAP_LATTICE_N = 4096
 
 
 def mdfips(L):
@@ -63,8 +61,8 @@ def mdfips_bruteforce(L):
             if L.leq(a, b):
                 continue
             maximal = True
-            for a2 in _bits(L.down[a]):
-                for b2 in _bits(L.up[b]):
+            for a2 in bits(L.down[a]):
+                for b2 in bits(L.up[b]):
                     if (a2, b2) == (a, b):
                         continue
                     if not L.leq(a2, b2):
@@ -130,13 +128,6 @@ class PartialTwoMap:
         return self.ones | self.zeros
 
 
-def _mask(vertices):
-    out = 0
-    for x in vertices:
-        out |= 1 << x
-    return out
-
-
 def _closure_maps(rows, cols, v):
     """ones-mask -> zeros-mask helpers for arc-preserving maximal maps.
 
@@ -172,6 +163,10 @@ def _closed_one_sets(rows, cols, v):
     a = close(0)
     while True:
         sets.append(a)
+        if len(sets) > MAX_MAP_LATTICE_N:
+            raise BoundTooLarge(
+                f"the map lattice has more than {MAX_MAP_LATTICE_N} elements"
+            )
         nxt = None
         for i in range(v - 1, -1, -1):
             if a >> i & 1:
@@ -193,51 +188,10 @@ def mpe_enumerate(G):
     in their one-set, so the order is total.
     """
     ones_sets, zmax = _closed_one_sets(G.rows, G.cols, G.v)
-    maps = [
-        PartialTwoMap(frozenset(_bits(u)), frozenset(_bits(zmax(u))))
-        for u in ones_sets
+    return [
+        PartialTwoMap(frozenset(bits(u)), frozenset(bits(zmax(u))))
+        for u in sorted(ones_sets)
     ]
-    maps.sort(key=lambda f: (_mask(f.ones), _mask(f.zeros)))
-    return maps
-
-
-def mpe_enumerate_scan(G):
-    """Same maps via a pruned three-way scan over vertex assignments.
-
-    Definitional cross-check path: assigns 1, 0 or undefined to vertices
-    in index order, pruning branches where an already-undefined vertex
-    could still take a value no matter what happens later.
-    """
-    rows, cols, v = G.rows, G.cols, G.v
-    full = (1 << v) - 1
-    suffix = [0] * (v + 1)
-    for i in range(v - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | 1 << i
-    found = []
-
-    def rec(i, ones, zeros, undef):
-        if i == v:
-            for w in _bits(undef):
-                if rows[w] & zeros == 0 or cols[w] & ones == 0:
-                    return
-            found.append((ones, zeros))
-            return
-        b = 1 << i
-        fut = suffix[i + 1]
-        if rows[i] & zeros == 0:
-            rec(i + 1, ones | b, zeros, undef)
-        if cols[i] & ones == 0:
-            rec(i + 1, ones, zeros | b, undef)
-        if rows[i] & (zeros | fut) and cols[i] & (ones | fut):
-            rec(i + 1, ones, zeros, undef | b)
-
-    rec(0, 0, 0, 0)
-    maps = [
-        PartialTwoMap(frozenset(_bits(u)), frozenset(_bits(z)))
-        for u, z in found
-    ]
-    maps.sort(key=lambda f: (_mask(f.ones), _mask(f.zeros)))
-    return maps
 
 
 def mpe_lattice(G):
@@ -246,20 +200,10 @@ def mpe_lattice(G):
     Elements are indexed by (size of one-set, one-set mask) increasing,
     so index 0 is the all-zeros map and the last index the all-ones map.
     """
-    maps = mpe_enumerate(G)
-    masks = sorted(
-        (_mask(f.ones) for f in maps), key=lambda m: (bin(m).count("1"), m)
-    )
-    k = len(masks)
-    up = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if masks[i] & ~masks[j] == 0:
-                row |= 1 << j
-        up.append(row)
+    ones_sets, _ = _closed_one_sets(G.rows, G.cols, G.v)
+    masks = sorted(ones_sets, key=lambda m: (m.bit_count(), m))
     try:
-        return FiniteLattice(up)
+        return FiniteLattice(inclusion(masks))
     except NotALattice as exc:
         raise NotALattice(
             f"maximal map family is not a lattice under one-set inclusion: {exc}"

@@ -20,6 +20,10 @@ of out(y): reduction forbids that arc, and the test reads those two rows
 alone, so no extension can repair it. Canonical forms then collapse the
 labellings that remain. The search never consults the lattice-side
 generator.
+
+Canonical forms of these rows, digraphs and semilattice orders alike, get
+a constant seed: the first refinement round already splits the vertices
+by (out-degree, in-degree), so degree seeds would only repeat it.
 """
 
 from __future__ import annotations
@@ -28,19 +32,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _canon
+from ._bits import bits, permute, transpose
 from .digraph import Digraph, check_tirs
 from .errors import BoundTooLarge
 from .lattice import FiniteLattice, canonical_key, canonicalize
 
 MAX_LATTICE_N = 8
 MAX_TIRS_V = 5
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -58,34 +56,7 @@ class LatticeCatalog:
         return out
 
 
-def _transpose(rows, n):
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(rows[i]):
-            down[j] |= 1 << i
-    return down
-
-
-def _order_seeds(rows, n):
-    down = _transpose(rows, n)
-    return tuple(
-        (bin(rows[i]).count("1"), bin(down[i]).count("1")) for i in range(n)
-    )
-
-
 _canonical_form = lru_cache(maxsize=None)(_canon.canonical_form)
-
-
-def _canonical_rows(rows, n):
-    key, perm = _canonical_form(tuple(rows), _order_seeds(rows, n))
-    pos = [0] * n
-    for p, orig in enumerate(perm):
-        pos[orig] = p
-    out = [0] * n
-    for p in range(n):
-        for j in _bits(rows[perm[p]]):
-            out[p] |= 1 << pos[j]
-    return key, tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -96,12 +67,12 @@ def _semilattice_level(k):
     reps = {}
     for rows in _semilattice_level(k - 1):
         n = k - 1
-        down = _transpose(rows, n)
+        down = transpose(rows)
         # candidate down-sets for the new maximal element; every
         # nonempty down-set contains the least element 0
         for d in range(1, 1 << n, 2):
             ok = True
-            for y in _bits(d):
+            for y in bits(d):
                 if down[y] & ~d:
                     ok = False
                     break
@@ -112,7 +83,7 @@ def _semilattice_level(k):
             for x in range(n):
                 lows = d & down[x]
                 top_count = 0
-                for m in _bits(lows):
+                for m in bits(lows):
                     if rows[m] & lows == 1 << m:
                         top_count += 1
                         if top_count > 1:
@@ -127,7 +98,7 @@ def _semilattice_level(k):
             # dedup by canonical key but keep the natural labelling, since
             # the next extension round needs element 0 at the bottom and
             # the order compatible with the integer order
-            key, _ = _canonical_rows(tuple(new_rows), k)
+            key = _canonical_form(tuple(new_rows), (0,) * k)[0]
             reps.setdefault(key, tuple(new_rows))
     return tuple(sorted(reps.values()))
 
@@ -201,10 +172,10 @@ def _tirs_level(v):
     """Canonical representatives of axiom-passing digraphs on v vertices."""
     reps = {}
     for rows in _tirs_candidates(v):
-        if not check_tirs(Digraph(rows)).ok:
+        if not check_tirs(Digraph(rows)):
             continue
-        key, canon = _canonical_rows(rows, v)
-        reps.setdefault(key, canon)
+        key, perm = _canonical_form(rows, (0,) * v)
+        reps.setdefault(key, permute(rows, perm))
     return tuple(sorted(reps.values()))
 
 
@@ -219,7 +190,7 @@ def enumerate_tirs_digraphs(max_v):
     for v in range(1, max_v + 1):
         for rows in _tirs_level(v):
             G = Digraph(rows)
-            if not check_tirs(G).ok:
+            if not check_tirs(G):
                 raise AssertionError("enumeration produced a non-axiom digraph")
             out.append(G)
     return tuple(out)

@@ -17,14 +17,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _canon
+from ._bits import bits, permute, transpose
 from .errors import EmptyInterval, NoLowerCovers, NotALattice, NotAPartialOrder
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class FiniteLattice:
@@ -46,7 +40,7 @@ class FiniteLattice:
                 raise ValueError("labels length does not match element count")
         self.labels = labels
         self._validate_order()
-        self.down = self._transpose()
+        self.down = transpose(self.up)
         self._meet, self._join = self._build_tables()
         self.bottom = self._unique_full(self.up, "bottom")
         self.top = self._unique_full(self.down, "top")
@@ -62,22 +56,15 @@ class FiniteLattice:
             if not up[i] >> i & 1:
                 raise NotAPartialOrder(f"element {i} is not below itself")
         for i in range(n):
-            for j in _bits(up[i]):
+            for j in bits(up[i]):
                 if j != i and up[j] >> i & 1:
                     raise NotAPartialOrder(f"elements {i} and {j} form a cycle")
                 extra = up[j] & ~up[i]
                 if extra:
-                    k = next(_bits(extra))
+                    k = next(bits(extra))
                     raise NotAPartialOrder(
                         f"transitivity fails on {i} <= {j} <= {k}"
                     )
-
-    def _transpose(self):
-        down = [0] * self.n
-        for i in range(self.n):
-            for j in _bits(self.up[i]):
-                down[j] |= 1 << i
-        return tuple(down)
 
     def _build_tables(self):
         n = self.n
@@ -121,12 +108,6 @@ class FiniteLattice:
     def join(self, a, b):
         return self._join[a][b]
 
-    def up_mask(self, a):
-        return self.up[a]
-
-    def down_mask(self, a):
-        return self.down[a]
-
     def is_cover(self, a, b):
         """True iff b covers a, i.e. a < b with nothing strictly between."""
         return a != b and (self.up[a] & self.down[b]) == (1 << a | 1 << b)
@@ -135,7 +116,7 @@ class FiniteLattice:
     def covers(self):
         out = []
         for a in range(self.n):
-            for b in _bits(self.up[a] & ~(1 << a)):
+            for b in bits(self.up[a] & ~(1 << a)):
                 if (self.up[a] & self.down[b]) == (1 << a | 1 << b):
                     out.append((a, b))
         return tuple(out)
@@ -205,7 +186,7 @@ def from_covers(n, covers, labels=None):
     while ready:
         x = ready.pop()
         topo.append(x)
-        for y in _bits(succ[x]):
+        for y in bits(succ[x]):
             pred_count[y] -= 1
             if pred_count[y] == 0:
                 ready.append(y)
@@ -217,7 +198,7 @@ def from_covers(n, covers, labels=None):
         raise NotAPartialOrder(f"elements {stuck} form a cycle")
     up = [1 << i for i in range(n)]
     for x in reversed(topo):
-        for y in _bits(succ[x]):
+        for y in bits(succ[x]):
             up[x] |= up[y]
     return FiniteLattice(up, labels)
 
@@ -251,12 +232,12 @@ def interval(L, a, b):
     if not L.leq(a, b):
         raise EmptyInterval(f"interval [{a}, {b}] is empty because {a} <= {b} fails")
     mask = L.up[a] & L.down[b]
-    elems = list(_bits(mask))
+    elems = list(bits(mask))
     pos = {e: i for i, e in enumerate(elems)}
     up = []
     for e in elems:
         row = 0
-        for f in _bits(L.up[e] & mask):
+        for f in bits(L.up[e] & mask):
             row |= 1 << pos[f]
         up.append(row)
     labels = tuple(L.label_of(e) for e in elems) if L.labels else None
@@ -300,17 +281,8 @@ def canonicalize(L):
 
 def relabel(L, perm):
     """Relabel so that new element p is the old element perm[p]."""
-    pos = [0] * L.n
-    for p, v in enumerate(perm):
-        pos[v] = p
-    up = []
-    for p in range(L.n):
-        row = 0
-        for j in _bits(L.up[perm[p]]):
-            row |= 1 << pos[j]
-        up.append(row)
     labels = tuple(L.label_of(perm[p]) for p in range(L.n)) if L.labels else None
-    return FiniteLattice(up, labels)
+    return FiniteLattice(permute(L.up, perm), labels)
 
 
 def find_n5_sublattices(L):

@@ -24,26 +24,12 @@ scans; md decides dist on the interval below each element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import digraph as dg
+from ._bits import bits
+from .digraph import PropertyReport
 from .duality import dual_digraph, mdfips
 from .errors import UnknownProperty
-from .lattice import _bits, interval, join_irreducibles, meet_irreducibles, mu
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    property: str
-    holds: bool
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.holds
-
-
-def _report(name, holds, witness=None):
-    return PropertyReport(name, holds, witness if not holds else None)
+from .lattice import interval, join_irreducibles, meet_irreducibles, mu
 
 
 def _no_witness(name):
@@ -55,8 +41,8 @@ def is_usm(L):
     for a in range(L.n):
         for b in range(L.n):
             if L.is_cover(L.meet(a, b), a) and not L.is_cover(b, L.join(a, b)):
-                return _report("usm", False, (a, b))
-    return _report("usm", True)
+                return PropertyReport("usm", False, (a, b))
+    return PropertyReport("usm", True)
 
 
 def is_lsm(L):
@@ -64,8 +50,8 @@ def is_lsm(L):
     for a in range(L.n):
         for b in range(L.n):
             if L.is_cover(a, L.join(a, b)) and not L.is_cover(L.meet(a, b), b):
-                return _report("lsm", False, (a, b))
-    return _report("lsm", True)
+                return PropertyReport("lsm", False, (a, b))
+    return PropertyReport("lsm", True)
 
 
 def is_jm_lsm(L):
@@ -78,8 +64,8 @@ def is_jm_lsm(L):
     for a in join_irreducibles(L):
         for b in mi:
             if L.is_cover(b, L.join(a, b)) and not L.is_cover(L.meet(a, b), a):
-                return _report("jmlsm", False, (a, b))
-    return _report("jmlsm", True)
+                return PropertyReport("jmlsm", False, (a, b))
+    return PropertyReport("jmlsm", True)
 
 
 def is_jm_usm(L):
@@ -89,8 +75,8 @@ def is_jm_usm(L):
     for a in join_irreducibles(L):
         for b in mi:
             if L.is_cover(L.meet(a, b), a) and not L.is_cover(b, L.join(a, b)):
-                return _report("jmusm", False, (a, b))
-    return _report("jmusm", True)
+                return PropertyReport("jmusm", False, (a, b))
+    return PropertyReport("jmusm", True)
 
 
 def is_modular(L):
@@ -100,10 +86,10 @@ def is_modular(L):
         ja = join[a]
         for b in range(L.n):
             mb, m_ab = meet[b], meet[ja[b]]
-            for c in _bits(up[a]):
+            for c in bits(up[a]):
                 if ja[mb[c]] != m_ab[c]:
-                    return _report("mod", False, (a, b, c))
-    return _report("mod", True)
+                    return PropertyReport("mod", False, (a, b, c))
+    return PropertyReport("mod", True)
 
 
 def is_distributive(L):
@@ -111,14 +97,14 @@ def is_distributive(L):
     b -> (a^b, a|b) is injective."""
     meet, join = L._meet, L._join
     if all(len(set(zip(meet[a], join[a]))) == L.n for a in range(L.n)):
-        return _report("dist", True)
+        return PropertyReport("dist", True)
     for a in range(L.n):
         ma = meet[a]
         for b in range(L.n):
             jb, j_ab = join[b], join[ma[b]]
             for c in range(L.n):
                 if ma[jb[c]] != j_ab[ma[c]]:
-                    return _report("dist", False, (a, b, c))
+                    return PropertyReport("dist", False, (a, b, c))
     raise _no_witness("dist")
 
 
@@ -143,9 +129,9 @@ def _semidistributive(name, rows, other):
             ob = other[b]
             for c in range(n):
                 if row[c] == x and row[ob[c]] != x:
-                    return _report(name, False, (a, b, c))
+                    return PropertyReport(name, False, (a, b, c))
         raise _no_witness(name)
-    return _report(name, True)
+    return PropertyReport(name, True)
 
 
 def is_jsd(L):
@@ -161,11 +147,11 @@ def is_msd(L):
 def is_sd(L):
     r = is_jsd(L)
     if not r:
-        return _report("sd", False, r.witness)
+        return PropertyReport("sd", False, r.witness)
     r = is_msd(L)
     if not r:
-        return _report("sd", False, r.witness)
-    return _report("sd", True)
+        return PropertyReport("sd", False, r.witness)
+    return PropertyReport("sd", True)
 
 
 def is_wjsd(L):
@@ -177,8 +163,8 @@ def is_wjsd(L):
             for c in range(L.n):
                 ab = L.join(a, b)
                 if ab == L.join(a, c) and ab != L.join(a, L.meet(b, c)):
-                    return _report("wjsd", False, (a, b, c))
-    return _report("wjsd", True)
+                    return PropertyReport("wjsd", False, (a, b, c))
+    return PropertyReport("wjsd", True)
 
 
 def satisfies_labc(L):
@@ -194,8 +180,8 @@ def satisfies_labc(L):
             if L.leq(a, b):
                 continue
             if not any(a2 == a and L.leq(b, c) for a2, c in pairs):
-                return _report("labc", False, (a, b))
-    return _report("labc", True)
+                return PropertyReport("labc", False, (a, b))
+    return PropertyReport("labc", True)
 
 
 def satisfies_uabc(L):
@@ -207,8 +193,8 @@ def satisfies_uabc(L):
             if L.leq(a, b):
                 continue
             if not any(b2 == b and L.leq(c, a) for c, b2 in pairs):
-                return _report("uabc", False, (a, b))
-    return _report("uabc", True)
+                return PropertyReport("uabc", False, (a, b))
+    return PropertyReport("uabc", True)
 
 
 def is_meet_distributive(L):
@@ -219,26 +205,8 @@ def is_meet_distributive(L):
             continue
         seg = interval(L, mu(L, a), a)
         if not is_distributive(seg):
-            return _report("md", False, (a,))
-    return _report("md", True)
-
-
-def _wrap(name, fn):
-    def run(G):
-        r = fn(G)
-        return _report(name, r.holds, r.witness)
-
-    return run
-
-
-def _tirs_report(G):
-    rep = dg.check_tirs(G)
-    if rep.ok:
-        return _report("tirs", True)
-    for tag in ("s", "r", "ti"):
-        if rep.witnesses[tag] is not None:
-            return _report("tirs", False, (tag, rep.witnesses[tag]))
-    return _report("tirs", False)
+            return PropertyReport("md", False, (a,))
+    return PropertyReport("md", True)
 
 
 LATTICE_CHECKS = {
@@ -258,17 +226,17 @@ LATTICE_CHECKS = {
 }
 
 DIGRAPH_CHECKS = {
-    "tirs": _tirs_report,
-    "lti": _wrap("lti", dg.check_lti),
-    "uti": _wrap("uti", dg.check_uti),
-    "djsd": _wrap("djsd", dg.check_djsd),
-    "dmsd": _wrap("dmsd", dg.check_dmsd),
-    "dsd": _wrap("dsd", dg.check_dsd),
-    "fis": _wrap("fis", dg.check_fis),
-    "wt0": _wrap("wt0", dg.check_wt0),
-    "wt1": _wrap("wt1", dg.check_wt1),
-    "trans": _wrap("trans", dg.is_transitive),
-    "poset": _wrap("poset", dg.is_poset),
+    "tirs": dg.check_tirs,
+    "lti": dg.check_lti,
+    "uti": dg.check_uti,
+    "djsd": dg.check_djsd,
+    "dmsd": dg.check_dmsd,
+    "dsd": dg.check_dsd,
+    "fis": dg.check_fis,
+    "wt0": dg.check_wt0,
+    "wt1": dg.check_wt1,
+    "trans": dg.is_transitive,
+    "poset": dg.is_poset,
 }
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
+from ._bits import bits
 from .convexity import cld_lattice, is_zero_closure, lattice_to_convex_geometry, satisfies_aep
-from .digraph import Digraph, check_djsd, check_lti, check_tirs, digraph_to_json
+from .digraph import Digraph, _reduction_witness, check_djsd, check_lti, check_tirs, digraph_to_json
 from .duality import (
     dual_digraph,
     mdfips,
@@ -38,74 +39,58 @@ from .lattice import (
 from .properties import DIGRAPH_CHECKS, LATTICE_CHECKS, check_lattice_property
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+class _Case:
+    """A lattice and a digraph dual to each other, one of them from a
+    catalog, with lazily computed derived data."""
 
-
-class LatticeCase:
-    """One catalog lattice plus lazily computed derived data."""
-
-    def __init__(self, L):
-        self.lattice = L
+    def __init__(self):
         self._flags = {}
-
-    @cached_property
-    def dual(self):
-        return dual_digraph(self.lattice)
-
-    @cached_property
-    def tirs_report(self):
-        return check_tirs(self.dual)
-
-    @cached_property
-    def pairs(self):
-        return mdfips(self.lattice)
-
-    @cached_property
-    def maps(self):
-        return mpe_enumerate(self.dual)
-
-    def flag(self, name):
-        if name not in self._flags:
-            if name in LATTICE_CHECKS:
-                rep = LATTICE_CHECKS[name](self.lattice)
-            else:
-                rep = DIGRAPH_CHECKS[name](self.dual)
-            self._flags[name] = bool(rep)
-        return self._flags[name]
-
-    def describe(self):
-        return {"lattice": lattice_to_json(self.lattice)}
-
-
-class DigraphCase:
-    """One catalog digraph plus its reconstructed lattice."""
-
-    def __init__(self, G):
-        self.digraph = G
-        self._gflags = {}
-        self._lflags = {}
-
-    @cached_property
-    def lattice(self):
-        return mpe_lattice(self.digraph)
 
     @cached_property
     def maps(self):
         return mpe_enumerate(self.digraph)
 
-    def gflag(self, name):
-        if name not in self._gflags:
-            self._gflags[name] = bool(DIGRAPH_CHECKS[name](self.digraph))
-        return self._gflags[name]
+    def flag(self, name):
+        """A lattice law of the lattice, or a digraph condition of the
+        digraph; the two registries share no name."""
+        if name not in self._flags:
+            if name in LATTICE_CHECKS:
+                rep = LATTICE_CHECKS[name](self.lattice)
+            else:
+                rep = DIGRAPH_CHECKS[name](self.digraph)
+            self._flags[name] = bool(rep)
+        return self._flags[name]
 
-    def lflag(self, name):
-        if name not in self._lflags:
-            self._lflags[name] = bool(check_lattice_property(name, self.lattice))
-        return self._lflags[name]
+
+class LatticeCase(_Case):
+    """One catalog lattice and its dual digraph."""
+
+    def __init__(self, L):
+        super().__init__()
+        self.lattice = L
+
+    @cached_property
+    def digraph(self):
+        return dual_digraph(self.lattice)
+
+    @cached_property
+    def pairs(self):
+        return mdfips(self.lattice)
+
+    def describe(self):
+        return {"lattice": lattice_to_json(self.lattice)}
+
+
+class DigraphCase(_Case):
+    """One catalog digraph and its map lattice."""
+
+    def __init__(self, G):
+        super().__init__()
+        self.digraph = G
+
+    @cached_property
+    def lattice(self):
+        return mpe_lattice(self.digraph)
 
     def describe(self):
         return {"digraph": digraph_to_json(self.digraph)}
@@ -136,7 +121,7 @@ def _flags_detail(case, names):
     return {"flags": {n: case.flag(n) for n in names}}
 
 
-def _lattice_implication(hyps, concs):
+def _implication(hyps, concs):
     def chk(case):
         if all(case.flag(h) for h in hyps) and not all(case.flag(c) for c in concs):
             return False, _flags_detail(case, hyps + concs)
@@ -145,7 +130,7 @@ def _lattice_implication(hyps, concs):
     return chk
 
 
-def _lattice_equivalence(left, right):
+def _equivalence(left, right):
     def chk(case):
         a = all(case.flag(x) for x in left)
         b = all(case.flag(x) for x in right)
@@ -156,7 +141,7 @@ def _lattice_equivalence(left, right):
     return chk
 
 
-def _lattice_nonconverse(hyps, concs):
+def _nonconverse(hyps, concs):
     def chk(case):
         return all(case.flag(c) for c in concs) and not all(
             case.flag(h) for h in hyps
@@ -180,7 +165,7 @@ def _prop_2_2(case):
 
 def _lem_2_3(case):
     L = case.lattice
-    G = case.dual
+    G = case.digraph
     verts = case.pairs
     for i, (a, b) in enumerate(verts):
         for j, (c, d) in enumerate(verts):
@@ -192,10 +177,10 @@ def _lem_2_3(case):
 
 
 def _prop_2_5(case):
-    rep = case.tirs_report
-    if rep.ok:
+    rep = check_tirs(case.digraph)
+    if rep:
         return True, None
-    return False, {"witnesses": {k: v for k, v in rep.witnesses.items() if v}}
+    return False, {"witness": list(rep.witness)}
 
 
 def _thm_2_6_lattice(case):
@@ -249,14 +234,14 @@ def _lem_3_4(case):
         for a in range(L.n):
             if not L.is_cover(b, L.join(a, b)):
                 continue
-            for c in _bits(L.up[b] & ~(1 << b)):
+            for c in bits(L.up[b] & ~(1 << b)):
                 if not L.leq(a, c):
                     return False, {"part": "upper", "a": a, "b": b, "c": c}
     for a in join_irreducibles(L):
         for b in range(L.n):
             if not L.is_cover(L.meet(a, b), a):
                 continue
-            for d in _bits(L.down[a] & ~(1 << a)):
+            for d in bits(L.down[a] & ~(1 << a)):
                 if not L.leq(d, b):
                     return False, {"part": "lower", "a": a, "b": b, "d": d}
     return True, None
@@ -293,7 +278,7 @@ def _prop_3_7(case):
 def _lem_5_1(case):
     L = case.lattice
     idx = {p: i for i, p in enumerate(case.pairs)}
-    G = case.dual
+    G = case.digraph
     for z0, a, b, c, o in find_n5_sublattices(L):
         # the maximal extensions of the pairs (a, c), (c, b) and (b, a)
         xs, ys, ws = (
@@ -325,17 +310,9 @@ def _lem_5_1(case):
 
 def _thm_4_10_lattice(case):
     md = case.flag("md")
-    three = case.flag("djsd") and case.tirs_report.r and case.flag("lti")
+    three = case.flag("djsd") and _reduction_witness(case.digraph) is None and case.flag("lti")
     if md != three:
         return False, {"md": md, "djsd_r_lti": three}
-    return True, None
-
-
-def _thm_4_10_digraph(case):
-    left = case.gflag("djsd") and case.gflag("lti")
-    right = case.lflag("md")
-    if left != right:
-        return False, {"djsd_and_lti": left, "md_of_map_lattice": right}
     return True, None
 
 
@@ -347,11 +324,11 @@ def _thm_4_10_scan():
     for v in range(1, 4):
         for rows in product(*_reflexive_row_options(v)):
             G = Digraph(rows)
-            if not (check_djsd(G) and check_lti(G) and check_tirs(G).r):
+            if not (check_djsd(G) and check_lti(G) and _reduction_witness(G) is None):
                 continue
             checked += 1
             ok = (
-                check_tirs(G).ok
+                check_tirs(G)
                 and bool(check_lattice_property("md", mpe_lattice(G)))
                 and roundtrip_digraph(G)
             )
@@ -373,30 +350,6 @@ def _thm_4_13(case):
     if not ok:
         return False, {"reason": "closed-set lattice not isomorphic"}
     return True, None
-
-
-def _digraph_implication(hyps, concs):
-    def chk(case):
-        if all(case.gflag(h) for h in hyps) and not all(case.gflag(c) for c in concs):
-            return False, {"flags": {n: case.gflag(n) for n in hyps + concs}}
-        return True, None
-
-    return chk
-
-
-def _digraph_transfer(g_names, l_names):
-    # digraph-side flags iff lattice-side flags of the reconstruction
-    def chk(case):
-        a = all(case.gflag(n) for n in g_names)
-        b = all(case.lflag(n) for n in l_names)
-        if a != b:
-            return False, {
-                "digraph_flags": {n: case.gflag(n) for n in g_names},
-                "lattice_flags": {n: case.lflag(n) for n in l_names},
-            }
-        return True, None
-
-    return chk
 
 
 REGISTRY = (
@@ -468,96 +421,96 @@ REGISTRY = (
         "THM_3_8",
         "the irreducible-restricted lower semimodular law holds iff every "
         "disjoint irreducible pair extends upward to a maximal pair",
-        lattice_check=_lattice_equivalence(("jmlsm",), ("labc",)),
+        lattice_check=_equivalence(("jmlsm",), ("labc",)),
     ),
     TheoremRecord(
         "THM_3_10",
         "upward extendability of disjoint irreducible pairs holds iff the "
         "dual digraph satisfies the lower interpolation axiom",
-        lattice_check=_lattice_equivalence(("labc",), ("lti",)),
+        lattice_check=_equivalence(("labc",), ("lti",)),
     ),
     TheoremRecord(
         "PROP_3_12",
         "downward extendability of disjoint irreducible pairs holds iff "
         "the irreducible-restricted upper semimodular law holds",
-        lattice_check=_lattice_equivalence(("uabc",), ("jmusm",)),
+        lattice_check=_equivalence(("uabc",), ("jmusm",)),
     ),
     TheoremRecord(
         "THM_3_13",
         "the irreducible-restricted lower semimodular law corresponds to "
         "lower interpolation in the dual, in both directions of the "
         "duality",
-        lattice_check=_lattice_equivalence(("jmlsm",), ("lti",)),
-        digraph_check=_digraph_transfer(("lti",), ("jmlsm",)),
+        lattice_check=_equivalence(("jmlsm",), ("lti",)),
+        digraph_check=_equivalence(("lti",), ("jmlsm",)),
     ),
     TheoremRecord(
         "THM_3_15",
         "the irreducible-restricted upper semimodular law corresponds to "
         "upper interpolation in the dual, in both directions of the "
         "duality",
-        lattice_check=_lattice_equivalence(("jmusm",), ("uti",)),
-        digraph_check=_digraph_transfer(("uti",), ("jmusm",)),
+        lattice_check=_equivalence(("jmusm",), ("uti",)),
+        digraph_check=_equivalence(("uti",), ("jmusm",)),
     ),
     TheoremRecord(
         "THM_4_1",
         "meet distributivity is equivalent to join semidistributivity "
         "plus lower semimodularity",
-        lattice_check=_lattice_equivalence(("md",), ("jsd", "lsm")),
+        lattice_check=_equivalence(("md",), ("jsd", "lsm")),
     ),
     TheoremRecord(
         "THM_4_2",
         "the irreducible-restricted lower semimodular law plus the "
         "irreducible-restricted join semidistributive law imply lower "
         "semimodularity",
-        lattice_check=_lattice_implication(("jmlsm", "wjsd"), ("lsm",)),
-        nonconverse=_lattice_nonconverse(("jmlsm", "wjsd"), ("lsm",)),
+        lattice_check=_implication(("jmlsm", "wjsd"), ("lsm",)),
+        nonconverse=_nonconverse(("jmlsm", "wjsd"), ("lsm",)),
     ),
     TheoremRecord(
         "COR_4_5",
         "meet distributivity is equivalent to join semidistributivity "
         "plus the irreducible-restricted lower semimodular law",
-        lattice_check=_lattice_equivalence(("md",), ("jmlsm", "jsd")),
+        lattice_check=_equivalence(("md",), ("jmlsm", "jsd")),
     ),
     TheoremRecord(
         "THM_4_6_I",
         "join semidistributivity corresponds to pairwise distinct in-sets "
         "in the dual, in both directions",
-        lattice_check=_lattice_equivalence(("jsd",), ("djsd",)),
-        digraph_check=_digraph_transfer(("djsd",), ("jsd",)),
+        lattice_check=_equivalence(("jsd",), ("djsd",)),
+        digraph_check=_equivalence(("djsd",), ("jsd",)),
     ),
     TheoremRecord(
         "THM_4_6_II",
         "meet semidistributivity corresponds to pairwise distinct "
         "out-sets in the dual, in both directions",
-        lattice_check=_lattice_equivalence(("msd",), ("dmsd",)),
-        digraph_check=_digraph_transfer(("dmsd",), ("msd",)),
+        lattice_check=_equivalence(("msd",), ("dmsd",)),
+        digraph_check=_equivalence(("dmsd",), ("msd",)),
     ),
     TheoremRecord(
         "THM_4_6_III",
         "semidistributivity corresponds to pairwise distinct in-sets and "
         "out-sets in the dual, in both directions",
-        lattice_check=_lattice_equivalence(("sd",), ("dsd",)),
-        digraph_check=_digraph_transfer(("dsd",), ("sd",)),
+        lattice_check=_equivalence(("sd",), ("dsd",)),
+        digraph_check=_equivalence(("dsd",), ("sd",)),
     ),
     TheoremRecord(
         "THM_4_7",
         "distinct out-sets plus lower interpolation force a transitive "
         "arc relation",
-        lattice_check=_lattice_implication(("dmsd", "lti"), ("trans",)),
-        digraph_check=_digraph_implication(("dmsd", "lti"), ("trans",)),
+        lattice_check=_implication(("dmsd", "lti"), ("trans",)),
+        digraph_check=_implication(("dmsd", "lti"), ("trans",)),
     ),
     TheoremRecord(
         "PROP_4_8",
         "a transitive axiom-passing digraph is a partial order",
-        lattice_check=_lattice_implication(("trans",), ("poset",)),
-        digraph_check=_digraph_implication(("trans",), ("poset",)),
+        lattice_check=_implication(("trans",), ("poset",)),
+        digraph_check=_implication(("trans",), ("poset",)),
     ),
     TheoremRecord(
         "COR_4_9",
         "meet semidistributivity plus the irreducible-restricted lower "
         "semimodular law imply distributivity",
-        lattice_check=_lattice_implication(("msd", "jmlsm"), ("dist",)),
-        nonconverse=_lattice_nonconverse(("msd", "jmlsm"), ("dist",)),
+        lattice_check=_implication(("msd", "jmlsm"), ("dist",)),
+        nonconverse=_nonconverse(("msd", "jmlsm"), ("dist",)),
     ),
     TheoremRecord(
         "THM_4_10",
@@ -565,7 +518,7 @@ REGISTRY = (
         "iff it has distinct in-sets, the reduction axiom and lower "
         "interpolation",
         lattice_check=_thm_4_10_lattice,
-        digraph_check=_thm_4_10_digraph,
+        digraph_check=_equivalence(("djsd", "lti"), ("md",)),
         extra_check=_thm_4_10_scan,
     ),
     TheoremRecord(
@@ -586,28 +539,28 @@ REGISTRY = (
         "PROP_5_2_A",
         "a dual digraph without induced two-arc-path or single-arc "
         "triples forces lower semimodularity",
-        lattice_check=_lattice_implication(("fis",), ("lsm",)),
-        nonconverse=_lattice_nonconverse(("fis",), ("lsm",)),
+        lattice_check=_implication(("fis",), ("lsm",)),
+        nonconverse=_nonconverse(("fis",), ("lsm",)),
     ),
     TheoremRecord(
         "PROP_5_2_B",
         "a dual digraph without induced two-arc-path or single-arc "
         "triples forces upper semimodularity",
-        lattice_check=_lattice_implication(("fis",), ("usm",)),
-        nonconverse=_lattice_nonconverse(("fis",), ("usm",)),
+        lattice_check=_implication(("fis",), ("usm",)),
+        nonconverse=_nonconverse(("fis",), ("usm",)),
     ),
     TheoremRecord(
         "THM_5_3",
         "a dual digraph without induced two-arc-path or single-arc "
         "triples forces modularity",
-        lattice_check=_lattice_implication(("fis",), ("mod",)),
-        nonconverse=_lattice_nonconverse(("fis",), ("mod",)),
+        lattice_check=_implication(("fis",), ("mod",)),
+        nonconverse=_nonconverse(("fis",), ("mod",)),
     ),
     TheoremRecord(
         "COR_5_6",
         "both weak transitivity conditions on the dual force modularity",
-        lattice_check=_lattice_implication(("wt0", "wt1"), ("mod",)),
-        nonconverse=_lattice_nonconverse(("wt0", "wt1"), ("mod",)),
+        lattice_check=_implication(("wt0", "wt1"), ("mod",)),
+        nonconverse=_nonconverse(("wt0", "wt1"), ("mod",)),
     ),
 )
 

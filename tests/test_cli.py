@@ -130,6 +130,15 @@ def test_enumerate_over_bound(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_primal_over_the_map_lattice_bound(tmp_path, capsys):
+    # 13 isolated loops have 2^13 = 8,192 maximal maps
+    path = digraph_file(tmp_path, {"v": 13, "arcs": [[x, x] for x in range(13)]})
+    assert main(["primal", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "4096" in captured.err
+
+
 def test_verify_theorems_with_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["verify-theorems", "--max-n", "5", "--report", str(report)]) == 0

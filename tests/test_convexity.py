@@ -78,6 +78,7 @@ def test_anti_exchange_examples():
     r = satisfies_aep(D)
     assert not r
     assert r.witness == ((0,), 1, 2)
+    assert r.property == "aep" and satisfies_aep(powerset_system(3)).witness is None
     A, x, y = r.witness
     base = sum(1 << i for i in A)
     assert D.close_mask(base | 1 << y) >> x & 1

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import latdual as ld
-from latdual.digraph import Digraph
+from latdual.digraph import Digraph, _interpolation_witness, _reduction_witness
 from oracles import digraph_isomorphic_brute, reflexive_rows
 
 
@@ -21,30 +21,30 @@ def test_neighbourhood_sets():
 
 def test_tirs_passes_on_a_dual():
     rep = ld.check_tirs(pentagon_dual())
-    assert rep.ok and rep.s and rep.r and rep.ti
-    assert rep.witnesses == {"s": None, "r": None, "ti": None}
+    assert rep
+    assert rep == ld.PropertyReport("tirs", True, None)
 
 
 def test_tirs_separation_failure():
     G = Digraph((0b11, 0b11))
     rep = ld.check_tirs(G)
-    assert not rep.s and rep.witnesses["s"] == (0, 1)
-    assert rep.r and rep.ti
-    assert not rep.ok
+    assert rep.witness == ("s", (0, 1))
+    assert _reduction_witness(G) is None and _interpolation_witness(G) is None
+    assert not rep
 
 
 def test_tirs_reduction_failure():
     # out-set of 0 sits strictly inside out-set of 1, yet 0 -> 1 exists
     G = Digraph((0b011, 0b111, 0b100))
     rep = ld.check_tirs(G)
-    assert not rep.r and rep.witnesses["r"] == (0, 1)
+    assert not rep and rep.witness == ("r", (0, 1))
 
 
 def test_tirs_interpolation_failure():
     # square of arcs without any interpolating vertex
     G = Digraph((0b0011, 0b0110, 0b1100, 0b1001))
     rep = ld.check_tirs(G)
-    assert not rep.ti
+    assert not rep and rep.witness[0] == "ti"
 
 
 def test_tirs_requires_loops():
@@ -68,12 +68,12 @@ def test_interpolation_swaps_under_reversal(tirs4):
         assert ld.check_lti(G).holds == ld.check_uti(R).holds
         assert ld.check_uti(G).holds == ld.check_lti(R).holds
         assert ld.check_djsd(G).holds == ld.check_dmsd(R).holds
-        assert ld.check_tirs(R).ok
+        assert ld.check_tirs(R)
 
 
 def test_degenerate_digraphs_satisfy_everything():
     G = Digraph((0b01, 0b10))  # two isolated loops
-    assert ld.check_tirs(G).ok
+    assert ld.check_tirs(G)
     assert ld.check_lti(G) and ld.check_uti(G)
     assert ld.check_dsd(G)
     assert ld.is_poset(G)

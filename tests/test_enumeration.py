@@ -116,7 +116,7 @@ def test_tirs_candidates_are_the_filtered_product(v):
 
 def test_tirs_entries_satisfy_axioms(tirs5):
     for G in tirs5:
-        assert ld.check_tirs(G).ok
+        assert ld.check_tirs(G)
 
 
 def test_tirs_entries_pairwise_nonisomorphic(tirs4):

@@ -191,6 +191,27 @@ def test_tirs_witness_tags():
     assert not r and r.witness == ("r", (0, 1))
 
 
+def test_every_report_names_its_property_and_has_a_witness_iff_it_fails():
+    """Each registered name holds on some input and fails on another, and
+    every report carries that name, with a witness exactly on failure."""
+    reports = {name: [] for name in ld.property_names()}
+    for fx in ld.fixture_names():
+        for name in ld.property_names():
+            reports[name].append(ld.check_lattice_property(name, ld.fixture(fx)))
+    # the duals of lattices always pass tirs; small reflexive digraphs need not
+    digraphs = [ld.dual_digraph(ld.fixture(fx)) for fx in ld.fixture_names()]
+    digraphs += [ld.Digraph(rows) for v in (1, 2, 3) for rows in oracles.reflexive_rows(v)]
+    for G in digraphs:
+        for name in DIGRAPH_PROPS:
+            reports[name].append(ld.check_digraph_property(name, G))
+    for name, reps in reports.items():
+        assert {r.holds for r in reps} == {True, False}, name
+        for r in reps:
+            assert isinstance(r, PropertyReport)
+            assert r.property == name
+            assert (r.witness is None) == r.holds, (name, r)
+
+
 def test_property_names_listing():
     names = ld.property_names()
     assert names == LATTICE_PROPS + DIGRAPH_PROPS

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,10 @@ PINNED_IDS = (
 # records checked on the digraph catalog as well as on the lattice catalog
 DIGRAPH_IDS = ("THM_2_6", "PLOSCICA_LEMMA", "THM_3_13", "THM_3_15", "THM_4_6_I",
                "THM_4_6_II", "THM_4_6_III", "THM_4_7", "PROP_4_8", "THM_4_10")
+
+# sha256 of the bytes `latdual verify-theorems --max-n 8 --report` writes;
+# a change that moves the report must say why and update this digest
+REPORT_8_SHA256 = "7ce0bbcb1a9eacf732524a3e8ea26f624b0ad84573943240f287fafbb0d36e97"
 
 # id -> (checked, non-converse witnesses) at bound 6
 EXPECT_AT_6 = {rid: (25, 0) for rid in PINNED_IDS}
@@ -73,6 +78,8 @@ def test_full_verification_at_the_real_bound():
             want += scanned
         assert c.domain == "+".join(domains), c.id
         assert c.checked == want, c.id
+    text = json.dumps(ld.report_to_json(checks), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_8_SHA256
 
 
 def test_report_rendering():
