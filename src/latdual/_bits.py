@@ -51,11 +51,28 @@ def permute(rows, perm):
 def inclusion(sets):
     """The inclusion order on a family of set masks, as rows: bit j of
     row i is set iff ``sets[i]`` is a subset of ``sets[j]``."""
+    # row i is the AND of the membership columns of the elements of sets[i]
+    cols = [0] * max(sets, default=0).bit_length()
+    for j, s in enumerate(sets):
+        for x in bits(s):
+            cols[x] |= 1 << j
+    full = (1 << len(sets)) - 1
     rows = []
     for s in sets:
-        row = 0
-        for j, t in enumerate(sets):
-            if s & ~t == 0:
-                row |= 1 << j
+        row = full
+        for x in bits(s):
+            row &= cols[x]
         rows.append(row)
     return tuple(rows)
+
+
+def unclosed_pair(sets):
+    """The first pair (a, b) of members, a before b in ``sets``, whose
+    intersection is not a member; None if the family is closed under
+    pairwise intersection."""
+    index = set(sets)
+    for i, a in enumerate(sets):
+        rest = sets[i + 1 :]
+        if not index.issuperset({a & b for b in rest}):
+            return a, next(b for b in rest if a & b not in index)
+    return None

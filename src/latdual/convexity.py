@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._bits import bits, inclusion, mask
+from ._bits import bits, mask, unclosed_pair
 from .digraph import PropertyReport
 from .errors import NotMeetDistributive
 from .lattice import FiniteLattice, join_irreducibles
@@ -33,13 +33,13 @@ class ClosureSystem:
                 raise ValueError(f"closed set {sorted(bits(m))} leaves the ground set")
         if full not in masks:
             raise ValueError("the ground set itself must be closed")
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                if a & b not in masks:
-                    raise ValueError(
-                        f"intersection of {sorted(bits(a))} and {sorted(bits(b))}"
-                        " is not closed"
-                    )
+        pair = unclosed_pair(masks)
+        if pair is not None:
+            a, b = pair
+            raise ValueError(
+                f"intersection of {sorted(bits(a))} and {sorted(bits(b))}"
+                " is not closed"
+            )
         self.closed = tuple(masks)
 
     @classmethod
@@ -114,7 +114,7 @@ def cld_lattice(C):
     underlying sets.
     """
     labels = tuple("{" + ",".join(map(str, bits(m))) + "}" for m in C.closed)
-    return FiniteLattice(inclusion(C.closed), labels)
+    return FiniteLattice.of_sets(C.closed, labels)
 
 
 def lattice_to_convex_geometry(L):

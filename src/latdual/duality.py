@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits, inclusion
+from ._bits import bits
 from .digraph import Digraph
 from .errors import BoundTooLarge, NotALattice, NotDisjoint
 from .lattice import FiniteLattice, join_irreducibles, meet_irreducibles
 
 # the most elements a map lattice may have; a digraph of v isolated loops
-# has 2^v maximal maps, and the lattice tables grow with the square
+# has 2^v maximal maps, and the order rows of the lattice grow with the
+# square (the meet and join tables too, once read)
 MAX_MAP_LATTICE_N = 4096
 
 
@@ -199,11 +200,13 @@ def mpe_lattice(G):
 
     Elements are indexed by (size of one-set, one-set mask) increasing,
     so index 0 is the all-zeros map and the last index the all-ones map.
+    The one-sets are the closed sets of a closure operator, so they pass
+    the intersection-closure check of ``FiniteLattice.of_sets``.
     """
     ones_sets, _ = _closed_one_sets(G.rows, G.cols, G.v)
     masks = sorted(ones_sets, key=lambda m: (m.bit_count(), m))
     try:
-        return FiniteLattice(inclusion(masks))
+        return FiniteLattice.of_sets(masks)
     except NotALattice as exc:
         raise NotALattice(
             f"maximal map family is not a lattice under one-set inclusion: {exc}"

@@ -35,7 +35,7 @@ from . import _canon
 from ._bits import bits, permute, transpose
 from .digraph import Digraph, check_tirs
 from .errors import BoundTooLarge
-from .lattice import FiniteLattice, canonical_key, canonicalize
+from .lattice import FiniteLattice, _canonical
 
 MAX_LATTICE_N = 8
 MAX_TIRS_V = 5
@@ -108,8 +108,8 @@ def _lattice_level(n):
     top = 1 << (n - 1)
     out = []
     for rows in _semilattice_level(n - 1) if n > 1 else ((),):
-        L = canonicalize(FiniteLattice([r | top for r in rows] + [top]))
-        out.append((canonical_key(L), L))
+        # the key of a lattice is the key of its canonical relabelling
+        out.append(_canonical(FiniteLattice([r | top for r in rows] + [top])))
     out.sort(key=lambda kv: kv[0])
     return tuple(L for _, L in out)
 

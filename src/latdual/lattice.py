@@ -5,9 +5,12 @@ Conventions used throughout the package:
     - Elements are the integers 0..n-1.
     - The order relation is stored as one bitmask per element: bit j of
       ``up[i]`` is set iff i <= j, bit i of ``down[j]`` is set iff i <= j.
-    - Construction validates eagerly (partial order axioms, existence of
-      all meets and joins). Downstream code relies on total meet and join
-      tables and never re-checks.
+    - Construction validates the partial order axioms and that every
+      pair has a meet and a join. ``FiniteLattice(up)`` checks the latter
+      by filling the meet and join tables. ``FiniteLattice.of_sets``
+      checks a family of sets instead by intersection closure and by
+      containing its union, and builds the tables on their first read.
+      Downstream code relies on total tables and never re-checks.
     - Witness-returning searches scan in lexicographic element order, so
       reported witnesses are reproducible.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _canon
-from ._bits import bits, permute, transpose
+from ._bits import bits, inclusion, permute, transpose, unclosed_pair
 from .errors import EmptyInterval, NoLowerCovers, NotALattice, NotAPartialOrder
 
 
@@ -41,9 +44,48 @@ class FiniteLattice:
         self.labels = labels
         self._validate_order()
         self.down = transpose(self.up)
-        self._meet, self._join = self._build_tables()
+        # of_sets has shown that the order is a lattice; its tables wait
+        # for their first read
+        if not vars(self).pop("_tables_on_read", False):
+            self._meet, self._join = self._build_tables()
         self.bottom = self._unique_full(self.up, "bottom")
         self.top = self._unique_full(self.down, "top")
+
+    @classmethod
+    def of_sets(cls, masks, labels=None):
+        """The family of set masks ordered by inclusion, element i being
+        ``masks[i]``.
+
+        The masks must be distinct, contain their union and be closed
+        under pairwise intersection. Such a family is a lattice: the meet
+        is the intersection and the join the least member containing the
+        union. Anything else raises NotALattice naming two sets, or the
+        union. A lattice of sets whose meet is not the intersection fails
+        this test and needs the generic constructor on its inclusion order.
+        """
+        masks = tuple(masks)
+        index, union = {}, 0
+        for i, m in enumerate(masks):
+            j = index.setdefault(m, i)
+            if j != i:
+                raise NotALattice(
+                    f"elements {j} and {i} are the same set {sorted(bits(m))}"
+                )
+            union |= m
+        if masks and union not in index:
+            raise NotALattice(
+                f"the union {sorted(bits(union))} of the sets is not one of them"
+            )
+        pair = unclosed_pair(masks)
+        if pair is not None:
+            a, b = (sorted(bits(m)) for m in pair)
+            raise NotALattice(
+                f"the intersection of {a} and {b} is not one of the sets"
+            )
+        L = cls.__new__(cls)
+        L._tables_on_read = True
+        L.__init__(inclusion(masks), labels)
+        return L
 
     # -- construction helpers -------------------------------------------
 
@@ -83,6 +125,16 @@ class FiniteLattice:
                 join[a][b] = join[b][a] = j
                 meet[a][b] = meet[b][a] = m
         return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+    @cached_property
+    def _meet(self):
+        meet, self._join = self._build_tables()
+        return meet
+
+    @cached_property
+    def _join(self):
+        self._meet, join = self._build_tables()
+        return join
 
     def _unique_full(self, rows, what):
         full = (1 << self.n) - 1
@@ -275,8 +327,13 @@ def canonical_key(L):
 
 def canonicalize(L):
     """The canonical representative of the isomorphism class of L."""
-    _, perm = _canon.canonical_form(L.up, _invariants(L))
-    return relabel(L, perm)
+    return _canonical(L)[1]
+
+
+def _canonical(L):
+    # (canonical key, canonical representative) from one canonical form
+    key, perm = _canon.canonical_form(L.up, _invariants(L))
+    return key, relabel(L, perm)
 
 
 def relabel(L, perm):

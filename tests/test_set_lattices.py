@@ -1,0 +1,160 @@
+"""Lattices of set families: FiniteLattice.of_sets against the generic
+constructor on the inclusion order, and the tables it builds on read."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import latdual as ld
+from latdual._bits import bits, inclusion
+from latdual.convexity import ClosureSystem, cld_lattice
+from latdual.digraph import Digraph
+from latdual.duality import mpe_enumerate, mpe_lattice
+from latdual.lattice import FiniteLattice
+from oracles import reflexive_rows
+
+
+def same_lattice(L, R):
+    return (L.up, L._meet, L._join, L.bottom, L.top) == (
+        R.up,
+        R._meet,
+        R._join,
+        R.bottom,
+        R.top,
+    )
+
+
+def assert_map_lattice_matches_generic(G):
+    masks = sorted(
+        (sum(1 << x for x in f.ones) for f in mpe_enumerate(G)),
+        key=lambda m: (m.bit_count(), m),
+    )
+    assert same_lattice(mpe_lattice(G), FiniteLattice(inclusion(masks)))
+
+
+def loops(v):
+    return Digraph(tuple(1 << x for x in range(v)))
+
+
+def test_map_lattices_of_small_reflexive_digraphs():
+    count = 0
+    for v in range(1, 4):
+        for rows in reflexive_rows(v):
+            assert_map_lattice_matches_generic(Digraph(rows))
+            count += 1
+    assert count == 1 + 4 + 64
+
+
+def test_map_lattices_of_the_tirs_catalog(tirs5):
+    assert len(tirs5) == 322
+    for G in tirs5:
+        assert_map_lattice_matches_generic(G)
+
+
+@pytest.mark.parametrize("v", range(1, 9))
+def test_map_lattices_of_loops(v):
+    assert_map_lattice_matches_generic(loops(v))
+
+
+def test_closed_set_lattice_of_convex_sets(convex95):
+    C = ld.lattice_to_convex_geometry(convex95)
+    labels = tuple("{" + ",".join(map(str, bits(m))) + "}" for m in C.closed)
+    L = cld_lattice(C)
+    R = FiniteLattice(inclusion(C.closed), labels)
+    assert same_lattice(L, R)
+    assert L.labels == R.labels
+
+
+def closed_under_intersection(family):
+    return all(a & b in family for a in family for b in family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), unique=True, max_size=12), st.randoms())
+def test_intersection_closed_families_match_the_generic_constructor(sets, rnd):
+    family = set(sets)
+    union = 0
+    for s in sets:
+        union |= s
+    family.add(union)
+    while not closed_under_intersection(family):
+        family |= {a & b for a in family for b in family}
+    masks = sorted(family)
+    rnd.shuffle(masks)
+    assert same_lattice(FiniteLattice.of_sets(masks), FiniteLattice(inclusion(masks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 15), unique=True, max_size=10))
+def test_set_constructor_raises_exactly_on_non_moore_families(masks):
+    union = 0
+    for m in masks:
+        union |= m
+    moore = union in masks and closed_under_intersection(set(masks))
+    try:
+        FiniteLattice(inclusion(masks))
+        generic_ok = True
+    except ld.NotALattice:
+        generic_ok = False
+    try:
+        FiniteLattice.of_sets(masks)
+        sets_ok = True
+    except ld.NotALattice:
+        sets_ok = False
+    assert sets_ok == moore
+    assert generic_ok or not sets_ok
+
+
+def test_set_constructor_names_the_offending_sets():
+    with pytest.raises(ld.NotALattice, match=r"elements 0 and 2 are the same set \[0\]"):
+        FiniteLattice.of_sets([0b1, 0b0, 0b1])
+    with pytest.raises(ld.NotALattice, match=r"the union \[0, 1\] of the sets"):
+        FiniteLattice.of_sets([0b00, 0b01, 0b10])
+    # a lattice under inclusion whose meet is not the intersection
+    with pytest.raises(ld.NotALattice, match=r"intersection of \[0, 1\] and \[0, 2\]"):
+        FiniteLattice.of_sets([0b000, 0b011, 0b101, 0b111])
+    FiniteLattice(inclusion([0b000, 0b011, 0b101, 0b111]))
+    with pytest.raises(ld.NotALattice, match="at least one element"):
+        FiniteLattice.of_sets([])
+
+
+def test_map_lattice_tables_are_built_on_first_read():
+    L = mpe_lattice(loops(10))
+    ld.lattice_to_json(L)
+    assert "_meet" not in vars(L) and "_join" not in vars(L)
+    masks = sorted(range(1 << 10), key=lambda m: (m.bit_count(), m))
+    pos = {m: i for i, m in enumerate(masks)}
+    rnd = random.Random(0)
+    for _ in range(200):
+        a, b = rnd.randrange(L.n), rnd.randrange(L.n)
+        assert L.meet(a, b) == pos[masks[a] & masks[b]]
+        assert L.join(a, b) == pos[masks[a] | masks[b]]
+    assert "_meet" in vars(L) and "_join" in vars(L)
+
+
+def old_closure_system_error(closed):
+    # the message of the pairwise scan that ClosureSystem used to run
+    masks = sorted(set(closed), key=lambda m: (bin(m).count("1"), m))
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if a & b not in masks:
+                return (
+                    f"intersection of {sorted(bits(a))} and {sorted(bits(b))}"
+                    " is not closed"
+                )
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 31), max_size=12))
+def test_closure_system_reports_the_first_unclosed_pair(closed):
+    closed = closed + [31]
+    expected = old_closure_system_error(closed)
+    if expected is None:
+        ClosureSystem(5, closed)
+    else:
+        with pytest.raises(ValueError) as exc:
+            ClosureSystem(5, closed)
+        assert str(exc.value) == expected
