@@ -49,21 +49,27 @@ def permute(rows, perm):
 
 
 def inclusion(sets):
-    """The inclusion order on a family of set masks, as rows: bit j of
-    row i is set iff ``sets[i]`` is a subset of ``sets[j]``."""
-    # row i is the AND of the membership columns of the elements of sets[i]
+    """The inclusion order on a family of set masks and its converse, as
+    rows: bit j of row i is set iff ``sets[i]`` is a subset of
+    ``sets[j]``. Both come from the membership columns: row i is the AND
+    of the columns of the elements of ``sets[i]``, converse row j the
+    sets in no column outside ``sets[j]``."""
     cols = [0] * max(sets, default=0).bit_length()
     for j, s in enumerate(sets):
         for x in bits(s):
             cols[x] |= 1 << j
     full = (1 << len(sets)) - 1
-    rows = []
+    rows, conv = [], []
     for s in sets:
-        row = full
-        for x in bits(s):
-            row &= cols[x]
+        row, out = full, 0
+        for x, col in enumerate(cols):
+            if s >> x & 1:
+                row &= col
+            else:
+                out |= col
         rows.append(row)
-    return tuple(rows)
+        conv.append(full & ~out)
+    return tuple(rows), tuple(conv)
 
 
 def unclosed_pair(sets):

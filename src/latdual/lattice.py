@@ -5,12 +5,18 @@ Conventions used throughout the package:
     - Elements are the integers 0..n-1.
     - The order relation is stored as one bitmask per element: bit j of
       ``up[i]`` is set iff i <= j, bit i of ``down[j]`` is set iff i <= j.
-    - Construction validates the partial order axioms and that every
-      pair has a meet and a join. ``FiniteLattice(up)`` checks the latter
-      by filling the meet and join tables. ``FiniteLattice.of_sets``
-      checks a family of sets instead by intersection closure and by
-      containing its union, and builds the tables on their first read.
-      Downstream code relies on total tables and never re-checks.
+    - Construction validates the order by one sweep per element i over
+      the elements above it, lowest first, keeping each b that nothing
+      strictly above i lies below and dropping everything above a kept
+      b. The order is valid iff ``up[i] & down[i]`` is i alone and
+      ``up[i]`` is i with the rows of its kept bits (transitivity, by
+      induction on the row size); the kept bits are the upper covers.
+      Only a rejection runs the pairwise scan, which names the fault.
+    - Every pair must have a meet and a join. ``FiniteLattice(up)``
+      checks this by filling the meet and join tables;
+      ``FiniteLattice.of_sets`` by intersection closure and the union,
+      building the tables on first read. Downstream code relies on
+      total tables and never re-checks.
     - Witness-returning searches scan in lexicographic element order, so
       reported witnesses are reproducible.
 """
@@ -42,11 +48,13 @@ class FiniteLattice:
             if len(labels) != self.n:
                 raise ValueError("labels length does not match element count")
         self.labels = labels
-        self._validate_order()
-        self.down = transpose(self.up)
-        # of_sets has shown that the order is a lattice; its tables wait
-        # for their first read
-        if not vars(self).pop("_tables_on_read", False):
+        # of_sets hands in the converse rows and has shown that the order
+        # is a lattice; its tables wait for their first read
+        down = vars(self).pop("_sets_down", None)
+        if any(row >> self.n for row in self.up) or not self._sweep(down):
+            self._validate_order()
+            raise RuntimeError("the order sweep failed, yet the scan found no fault")
+        if down is None:
             self._meet, self._join = self._build_tables()
         self.bottom = self._unique_full(self.up, "bottom")
         self.top = self._unique_full(self.down, "top")
@@ -62,6 +70,8 @@ class FiniteLattice:
         union. Anything else raises NotALattice naming two sets, or the
         union. A lattice of sets whose meet is not the intersection fails
         this test and needs the generic constructor on its inclusion order.
+        Both order rows come from the membership columns; the meet and
+        join tables wait for their first read.
         """
         masks = tuple(masks)
         index, union = {}, 0
@@ -83,11 +93,33 @@ class FiniteLattice:
                 f"the intersection of {a} and {b} is not one of the sets"
             )
         L = cls.__new__(cls)
-        L._tables_on_read = True
-        L.__init__(inclusion(masks), labels)
+        up, L._sets_down = inclusion(masks)
+        L.__init__(up, labels)
         return L
 
     # -- construction helpers -------------------------------------------
+
+    def _sweep(self, down):
+        # sets down and the upper cover rows; False unless up is an order
+        up = self.up
+        self.down = down = down or transpose(up)
+        out = []
+        for i, row in enumerate(up):
+            strict = row & ~(1 << i)
+            rest, reach, kept = strict, 1 << i, 0
+            while rest:
+                low = rest & -rest
+                b = low.bit_length() - 1
+                if down[b] & strict == low:
+                    kept |= low
+                    reach |= up[b]
+                    rest &= ~reach
+                rest &= ~low
+            if row & down[i] != 1 << i or reach != row:
+                return False
+            out.append(kept)
+        self._upper = tuple(out)
+        return True
 
     def _validate_order(self):
         n, up = self.n, self.up
@@ -166,21 +198,12 @@ class FiniteLattice:
 
     @cached_property
     def covers(self):
-        out = []
-        for a in range(self.n):
-            for b in bits(self.up[a] & ~(1 << a)):
-                if (self.up[a] & self.down[b]) == (1 << a | 1 << b):
-                    out.append((a, b))
-        return tuple(out)
+        return tuple((a, b) for a, row in enumerate(self._upper) for b in bits(row))
 
     @cached_property
     def _cover_lists(self):
-        lower = [[] for _ in range(self.n)]
-        upper = [[] for _ in range(self.n)]
-        for a, b in self.covers:
-            lower[b].append(a)
-            upper[a].append(b)
-        return tuple(map(tuple, lower)), tuple(map(tuple, upper))
+        sides = (transpose(self._upper), self._upper)
+        return tuple(tuple(tuple(bits(row)) for row in rows) for rows in sides)
 
     def lower_covers(self, a):
         return self._cover_lists[0][a]

@@ -221,8 +221,16 @@ def _lem_3_1(case):
 
 
 def _thm_3_2(case):
-    fast = case.pairs
-    slow = mdfips_bruteforce(case.lattice)
+    # the characterisation itself, against the definitional enumeration
+    L, mi = case.lattice, meet_irreducibles(case.lattice)
+    fast = [
+        (a, b)
+        for a in join_irreducibles(L)
+        for b in mi
+        if not L.leq(a, b)
+        and L.is_cover(b, L.join(a, b)) and L.is_cover(L.meet(a, b), a)
+    ]
+    slow = mdfips_bruteforce(L)
     if fast == slow:
         return True, None
     return False, {"fast": [list(p) for p in fast], "slow": [list(p) for p in slow]}

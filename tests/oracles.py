@@ -116,6 +116,45 @@ def count_lattice_classes(n):
     return len(reps)
 
 
+def is_partial_order(rows):
+    """Range, reflexivity, antisymmetry and transitivity, pair by pair and
+    triple by triple."""
+    n = len(rows)
+    if any(row < 0 or row >> n for row in rows):
+        return False
+
+    def le(i, j):
+        return bool(rows[i] >> j & 1)
+
+    return (
+        all(le(i, i) for i in range(n))
+        and not any(i != j and le(i, j) and le(j, i) for i in range(n) for j in range(n))
+        and all(
+            le(i, k)
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+            if le(i, j) and le(j, k)
+        )
+    )
+
+
+def cover_pairs(rows):
+    """Pairs (a, b), a < b in the order with nothing strictly between,
+    sorted."""
+    n = len(rows)
+
+    def lt(i, j):
+        return i != j and bool(rows[i] >> j & 1)
+
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in range(n))
+    ]
+
+
 def reflexive_rows(v):
     """All reflexive digraphs on v vertices, as row tuples."""
     options = []

@@ -39,7 +39,8 @@ def test_bits_mask_and_inclusion(sets):
     for s in sets:
         assert mask(bits(s)) == s
         assert list(bits(s)) == [i for i in range(6) if s >> i & 1]
-    order = inclusion(sets)
+    order, converse = inclusion(sets)
+    assert converse == transpose(order)
     for i, s in enumerate(sets):
         for j, t in enumerate(sets):
             assert (order[i] >> j & 1) == set(bits(s)).issubset(set(bits(t)))

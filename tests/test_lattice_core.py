@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latdual as ld
-from oracles import lattice_isomorphic_brute
+from latdual._bits import bits, permute
+from latdual.lattice import FiniteLattice
+from oracles import cover_pairs, is_partial_order, lattice_isomorphic_brute
 
 
 def test_two_chain_basics():
@@ -195,3 +199,92 @@ def test_dot_output_mentions_labels():
     assert dot.startswith("digraph")
     assert 'label="b"' in dot
     assert "n0 -> n1;" in dot
+
+
+def old_order_error(up):
+    # the message of the pairwise scan that validated the order before the
+    # cover sweep, or None if it accepts
+    n = len(up)
+    full = (1 << n) - 1
+    for i in range(n):
+        if up[i] & ~full:
+            return f"element {i} relates outside 0..{n - 1}"
+        if not up[i] >> i & 1:
+            return f"element {i} is not below itself"
+    for i in range(n):
+        for j in bits(up[i]):
+            if j != i and up[j] >> i & 1:
+                return f"elements {i} and {j} form a cycle"
+            extra = up[j] & ~up[i]
+            if extra:
+                return f"transitivity fails on {i} <= {j} <= {next(bits(extra))}"
+    return None
+
+
+def order_of(up):
+    # the order sweep alone, without the lattice check
+    L = FiniteLattice.__new__(FiniteLattice)
+    L.up, L.n = tuple(up), len(up)
+    assert L._sweep(None)
+    return L
+
+
+def assert_order_checked_as_before(up):
+    expected = old_order_error(up)
+    assert (expected is None) == is_partial_order(up)
+    if expected is not None:
+        with pytest.raises(ld.NotAPartialOrder) as exc:
+            FiniteLattice(up)
+        assert str(exc.value) == expected
+    else:
+        assert list(order_of(up).covers) == cover_pairs(up)
+
+
+@pytest.mark.parametrize(
+    "up, message",
+    [
+        ((0b01, 0b110), "element 1 relates outside 0..1"),
+        ((0b11, 0b00), "element 1 is not below itself"),
+        ((0b011, 0b011, 0b100), "elements 0 and 1 form a cycle"),
+        ((0b011, 0b110, 0b100), "transitivity fails on 0 <= 1 <= 2"),
+    ],
+)
+def test_constructor_names_each_order_fault(up, message):
+    with pytest.raises(ld.NotAPartialOrder) as exc:
+        FiniteLattice(up)
+    assert str(exc.value) == message
+
+
+def test_every_relation_on_three_elements_is_checked_as_before():
+    for n in range(1, 4):
+        for code in range(1 << n * n):
+            assert_order_checked_as_before(
+                tuple(code >> n * i & ((1 << n) - 1) for i in range(n))
+            )
+
+
+@st.composite
+def relations(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("raw", "closed", "flipped", "wide")))
+    if shape != "raw":
+        # the reflexive transitive closure of the part above the diagonal
+        rows = [row & ~((1 << i + 1) - 1) | 1 << i for i, row in enumerate(rows)]
+        for i in range(n - 1, -1, -1):
+            for j in bits(rows[i] & ~(1 << i)):
+                rows[i] |= rows[j]
+        perm = draw(st.permutations(range(n)))
+        rows = list(permute(rows, perm))
+    if shape == "flipped":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] ^= 1 << j
+    if shape == "wide":
+        rows[draw(st.integers(0, n - 1))] |= 1 << draw(st.integers(n, n + 2))
+    return tuple(rows)
+
+
+@settings(max_examples=600, deadline=None)
+@given(relations())
+def test_random_relations_are_checked_as_before(up):
+    assert_order_checked_as_before(up)

@@ -8,17 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latdual as ld
-from latdual._bits import bits, inclusion
+from latdual import duality
+from latdual._bits import bits, inclusion, transpose
 from latdual.convexity import ClosureSystem, cld_lattice
 from latdual.digraph import Digraph
-from latdual.duality import mpe_enumerate, mpe_lattice
+from latdual.duality import mdfips, mdfips_bruteforce, mpe_enumerate, mpe_lattice
 from latdual.lattice import FiniteLattice
 from oracles import reflexive_rows
 
 
 def same_lattice(L, R):
-    return (L.up, L._meet, L._join, L.bottom, L.top) == (
+    return (L.up, L.down, L.covers, L._meet, L._join, L.bottom, L.top) == (
         R.up,
+        R.down,
+        R.covers,
         R._meet,
         R._join,
         R.bottom,
@@ -31,7 +34,7 @@ def assert_map_lattice_matches_generic(G):
         (sum(1 << x for x in f.ones) for f in mpe_enumerate(G)),
         key=lambda m: (m.bit_count(), m),
     )
-    assert same_lattice(mpe_lattice(G), FiniteLattice(inclusion(masks)))
+    assert same_lattice(mpe_lattice(G), FiniteLattice(inclusion(masks)[0]))
 
 
 def loops(v):
@@ -62,7 +65,7 @@ def test_closed_set_lattice_of_convex_sets(convex95):
     C = ld.lattice_to_convex_geometry(convex95)
     labels = tuple("{" + ",".join(map(str, bits(m))) + "}" for m in C.closed)
     L = cld_lattice(C)
-    R = FiniteLattice(inclusion(C.closed), labels)
+    R = FiniteLattice(inclusion(C.closed)[0], labels)
     assert same_lattice(L, R)
     assert L.labels == R.labels
 
@@ -71,9 +74,8 @@ def closed_under_intersection(family):
     return all(a & b in family for a in family for b in family)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 63), unique=True, max_size=12), st.randoms())
-def test_intersection_closed_families_match_the_generic_constructor(sets, rnd):
+def moore_family(sets, rnd):
+    # sets with their union, closed under intersection, in shuffled order
     family = set(sets)
     union = 0
     for s in sets:
@@ -83,7 +85,34 @@ def test_intersection_closed_families_match_the_generic_constructor(sets, rnd):
         family |= {a & b for a in family for b in family}
     masks = sorted(family)
     rnd.shuffle(masks)
-    assert same_lattice(FiniteLattice.of_sets(masks), FiniteLattice(inclusion(masks)))
+    return masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), unique=True, max_size=12), st.randoms())
+def test_intersection_closed_families_match_the_generic_constructor(sets, rnd):
+    masks = moore_family(sets, rnd)
+    L = FiniteLattice.of_sets(masks)
+    assert same_lattice(L, FiniteLattice(inclusion(masks)[0]))
+    assert L.down == transpose(L.up)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 31), unique=True, max_size=8), st.randoms())
+def test_maximal_pairs_of_set_lattices_match_the_definition(sets, rnd):
+    L = FiniteLattice.of_sets(moore_family(sets, rnd))
+    assert mdfips(L) == mdfips_bruteforce(L)
+
+
+@pytest.mark.parametrize("v", range(1, 9))
+def test_maximal_pairs_of_loop_map_lattices_match_the_definition(v):
+    # the map lattice is the Boolean lattice of subsets of the v loops; its
+    # maximal pairs are ({x}, everything but x)
+    L = mpe_lattice(loops(v))
+    masks = sorted(range(1 << v), key=lambda m: (m.bit_count(), m))
+    full = (1 << v) - 1
+    expected = sorted((masks.index(1 << x), masks.index(full ^ 1 << x)) for x in range(v))
+    assert mdfips(L) == mdfips_bruteforce(L) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,7 +123,7 @@ def test_set_constructor_raises_exactly_on_non_moore_families(masks):
         union |= m
     moore = union in masks and closed_under_intersection(set(masks))
     try:
-        FiniteLattice(inclusion(masks))
+        FiniteLattice(inclusion(masks)[0])
         generic_ok = True
     except ld.NotALattice:
         generic_ok = False
@@ -115,9 +144,23 @@ def test_set_constructor_names_the_offending_sets():
     # a lattice under inclusion whose meet is not the intersection
     with pytest.raises(ld.NotALattice, match=r"intersection of \[0, 1\] and \[0, 2\]"):
         FiniteLattice.of_sets([0b000, 0b011, 0b101, 0b111])
-    FiniteLattice(inclusion([0b000, 0b011, 0b101, 0b111]))
+    FiniteLattice(inclusion([0b000, 0b011, 0b101, 0b111])[0])
     with pytest.raises(ld.NotALattice, match="at least one element"):
         FiniteLattice.of_sets([])
+
+
+def test_map_lattice_roundtrip_builds_no_tables(monkeypatch):
+    built = []
+
+    def recording_mpe_lattice(G):
+        built.append(mpe_lattice(G))
+        return built[-1]
+
+    monkeypatch.setattr(duality, "mpe_lattice", recording_mpe_lattice)
+    assert duality.roundtrip_digraph(loops(10))
+    [L] = built
+    assert L.n == 1 << 10
+    assert "_meet" not in vars(L) and "_join" not in vars(L)
 
 
 def test_map_lattice_tables_are_built_on_first_read():
