@@ -29,8 +29,11 @@ def transpose(rows):
     """The converse relation: bit i of row j is set iff bit j of row i is."""
     cols = [0] * len(rows)
     for i, row in enumerate(rows):
-        for j in bits(row):
-            cols[j] |= 1 << i
+        b = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= b
+            row ^= low
     return tuple(cols)
 
 

@@ -11,13 +11,18 @@ semilattice on n - 1 elements with a top adjoined, and adjoining a top
 to a meet semilattice always gives a lattice.
 
 Digraphs are found by a depth-first assignment of reflexive rows that
-makes two cuts before the full axiom check, in the spirit of McKay's
-orderly generation. It keeps only rows whose out-degrees (loop included)
-do not increase with the vertex: every digraph has such a relabelling,
-so every isomorphism class keeps a member. It drops a partial assignment
-as soon as two fixed rows give an arc x -> y with out(x) a proper subset
-of out(y): reduction forbids that arc, and the test reads those two rows
-alone, so no extension can repair it. Canonical forms then collapse the
+makes three cuts before the full axiom check, in the spirit of McKay's
+orderly generation. It keeps only labellings whose (out-degree,
+in-degree) pairs (loop included) do not increase lexicographically with
+the vertex: sorting the vertices by that pair relabels any digraph into
+this order, so every isomorphism class keeps a member. Out-degrees are
+known row by row and cut partial assignments; in-degrees need every row,
+so the tie-break is decided once the last row is placed. The search also
+drops a partial assignment as soon as two fixed rows give an arc x -> y
+with out(x) a proper subset of out(y): reduction forbids that arc, and
+the test reads those two rows alone, so no extension can repair it. That
+cut does not depend on the labelling, so it removes whole classes, never
+a class's last sorted member. Canonical forms then collapse the
 labellings that remain. The search never consults the lattice-side
 generator.
 
@@ -143,26 +148,45 @@ def _reflexive_row_options(v):
 
 def _tirs_candidates(v):
     """Reflexive digraphs on v vertices, in the order of the full product
-    of row options, whose out-degrees do not increase with the vertex and
-    which have no arc x -> y with out(x) a proper subset of out(y)."""
-    options = _reflexive_row_options(v)
-    rows = []
+    of row options, whose (out-degree, in-degree) pairs (loop included)
+    do not increase lexicographically with the vertex and which have no
+    arc x -> y with out(x) a proper subset of out(y).
+
+    Sorting the vertices by that pair relabels any digraph into this
+    order, and the arc condition does not depend on the labelling, so
+    every class of digraphs without such an arc keeps a member. Rows are
+    assigned depth first; the out-degree order and the arc condition cut
+    partial assignments, and the in-degree tie-break, which needs every
+    row, is decided at the leaf."""
+    # each option once, with its out-degree and its arcs to earlier rows
+    options = [
+        [(r, r.bit_count(), tuple(bits(r & ((1 << i) - 1)))) for r in opts]
+        for i, opts in enumerate(_reflexive_row_options(v))
+    ]
+    rows, degs = [], []
 
     def extend(i, cap):
         if i == v:
+            cols = transpose(rows)
+            for x in range(1, v):
+                if degs[x] == degs[x - 1] and cols[x].bit_count() > cols[x - 1].bit_count():
+                    return
             yield tuple(rows)
             return
-        for r in options[i]:
-            deg = bin(r).count("1")
+        for r, deg, earlier in options[i]:
+            if deg > cap:
+                continue
             # an earlier row has at least deg arcs, so only an arc from
             # the new row can point into a proper superset
-            if deg > cap or any(
-                r >> j & 1 and r & ~rows[j] == 0 and r != rows[j] for j in range(i)
-            ):
-                continue
-            rows.append(r)
-            yield from extend(i + 1, deg)
-            rows.pop()
+            for j in earlier:
+                if r & ~rows[j] == 0 and r != rows[j]:
+                    break
+            else:
+                rows.append(r)
+                degs.append(deg)
+                yield from extend(i + 1, deg)
+                rows.pop()
+                degs.pop()
 
     return extend(0, v)
 

@@ -182,6 +182,15 @@ def _out_in(rows):
     return out, inn
 
 
+def separation(rows):
+    """Distinct vertices differ in out-set or in-set."""
+    out, inn = _out_in(rows)
+    v = len(rows)
+    return all(
+        out[x] != out[y] or inn[x] != inn[y] for x in range(v) for y in range(x + 1, v)
+    )
+
+
 def reduction(rows):
     """No arc x -> y with out(x) strictly inside out(y) or in(y) strictly
     inside in(x)."""
@@ -191,19 +200,25 @@ def reduction(rows):
     )
 
 
-def is_tirs(rows):
-    """Separation, reduction and interpolation."""
+def interpolation(rows):
+    """Every arc x -> y has z with out(z) inside out(x) and in(z) inside
+    in(y)."""
     out, inn = _out_in(rows)
     v = len(rows)
-    separated = all(
-        out[x] != out[y] or inn[x] != inn[y] for x in range(v) for y in range(x + 1, v)
-    )
-    interpolated = all(
+    return all(
         any(out[z] <= out[x] and inn[z] <= inn[y] for z in range(v))
         for x in range(v)
         for y in out[x]
     )
-    return separated and reduction(rows) and interpolated
+
+
+# the TiRS axioms in the order the package checks them
+TIRS_AXIOMS = (("s", separation), ("r", reduction), ("ti", interpolation))
+
+
+def is_tirs(rows):
+    """Separation, reduction and interpolation."""
+    return all(holds(rows) for _, holds in TIRS_AXIOMS)
 
 
 def djsd_lti_r(rows):

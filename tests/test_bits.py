@@ -8,8 +8,8 @@ from oracles import relabel_rows
 
 
 @st.composite
-def relations(draw, max_n=9):
-    n = draw(st.integers(0, max_n))
+def relations(draw, max_n=9, min_n=0):
+    n = draw(st.integers(min_n, max_n))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     return tuple(rows)
 
@@ -23,8 +23,9 @@ def test_permute_matches_the_relabelling_oracle(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(relations())
+@given(st.one_of(relations(), relations(max_n=100, min_n=65)))
 def test_transpose_is_the_converse(rows):
+    """Small relations, and relations whose rows are wider than 64 bits."""
     n = len(rows)
     converse = tuple(
         sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)

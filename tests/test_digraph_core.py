@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latdual as ld
 from latdual.digraph import Digraph, _interpolation_witness, _reduction_witness
-from oracles import digraph_isomorphic_brute, reflexive_rows
+from oracles import TIRS_AXIOMS, digraph_isomorphic_brute, is_tirs, reflexive_rows
 
 
 def pentagon_dual():
@@ -45,6 +47,23 @@ def test_tirs_interpolation_failure():
     G = Digraph((0b0011, 0b0110, 0b1100, 0b1001))
     rep = ld.check_tirs(G)
     assert not rep and rep.witness[0] == "ti"
+
+
+@st.composite
+def reflexive_digraphs(draw, max_v=7):
+    v = draw(st.integers(1, max_v))
+    return tuple(draw(st.integers(0, (1 << v) - 1)) | 1 << x for x in range(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflexive_digraphs())
+def test_check_tirs_matches_the_axiom_definitions(rows):
+    """check_tirs holds iff the definitional oracle does, and a failure
+    names the first of s, r, ti that fails by definition."""
+    rep = ld.check_tirs(Digraph(rows))
+    assert bool(rep) == is_tirs(rows)
+    first = next((axiom for axiom, holds in TIRS_AXIOMS if not holds(rows)), None)
+    assert (rep.witness[0] if rep.witness else None) == first
 
 
 def test_tirs_requires_loops():

@@ -9,6 +9,7 @@ from oracles import (
     digraph_isomorphic_brute,
     lattice_isomorphic_brute,
     reflexive_rows,
+    relabel_rows,
     rows_isomorphic_brute,
     tirs_classes,
 )
@@ -98,20 +99,38 @@ def test_tirs_level_matches_definitional_classes(v):
 
 
 def _degree_ordered_and_out_reduced(rows):
+    v = len(rows)
     out = [frozenset(bits(r)) for r in rows]
-    degrees = [len(s) for s in out]
+    inn = [frozenset(x for x in range(v) if y in out[x]) for y in range(v)]
+    degrees = [(len(out[x]), len(inn[x])) for x in range(v)]
     return degrees == sorted(degrees, reverse=True) and not any(
-        out[x] < out[y] for x in range(len(rows)) for y in out[x]
+        out[x] < out[y] for x in range(v) for y in out[x]
     )
 
 
 @pytest.mark.parametrize("v", range(1, 5))
 def test_tirs_candidates_are_the_filtered_product(v):
     """The pruned depth-first scan yields exactly the reflexive digraphs
-    with non-increasing out-degrees and no arc into a strict out-superset,
-    in product order."""
+    with non-increasing (out-degree, in-degree) pairs and no arc into a
+    strict out-superset, in product order."""
     want = [rows for rows in reflexive_rows(v) if _degree_ordered_and_out_reduced(rows)]
     assert list(en._tirs_candidates(v)) == want
+    if v == 4:
+        assert len(want) == 146
+
+
+def test_every_tirs_class_has_its_degree_sorted_labelling_among_candidates():
+    """Completeness at v = 5 without the full product: each class, relabelled
+    by a stable sort on (out-degree, in-degree) descending, is a candidate."""
+    candidates = set(en._tirs_candidates(5))
+    assert len(candidates) == 5077
+    level = en._tirs_level(5)
+    assert len(level) == EXPECTED_TIRS_COUNTS[5]
+    for rows in level:
+        out = [r.bit_count() for r in rows]
+        inn = [sum(r >> y & 1 for r in rows) for y in range(5)]
+        perm = sorted(range(5), key=lambda x: (out[x], inn[x]), reverse=True)
+        assert relabel_rows(rows, perm) in candidates, rows
 
 
 def test_tirs_entries_satisfy_axioms(tirs5):
