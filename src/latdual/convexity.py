@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._bits import bits, mask, unclosed_pair
+from ._bits import (
+    bits,
+    inclusion,
+    intersection_closed,
+    mask,
+    unclosed_pair,
+    upper_covers,
+)
 from .digraph import PropertyReport
 from .errors import NotMeetDistributive
 from .lattice import FiniteLattice, join_irreducibles
@@ -33,9 +40,8 @@ class ClosureSystem:
                 raise ValueError(f"closed set {sorted(bits(m))} leaves the ground set")
         if full not in masks:
             raise ValueError("the ground set itself must be closed")
-        pair = unclosed_pair(masks)
-        if pair is not None:
-            a, b = pair
+        if not intersection_closed(masks, upper_covers(*inclusion(masks))):
+            a, b = unclosed_pair(masks)
             raise ValueError(
                 f"intersection of {sorted(bits(a))} and {sorted(bits(b))}"
                 " is not closed"

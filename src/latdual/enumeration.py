@@ -157,23 +157,36 @@ def _tirs_candidates(v):
     every class of digraphs without such an arc keeps a member. Rows are
     assigned depth first; the out-degree order and the arc condition cut
     partial assignments, and the in-degree tie-break, which needs every
-    row, is decided at the leaf."""
-    # each option once, with its out-degree and its arcs to earlier rows
+    row, is decided at the leaf from column sums carried down the search:
+    field y of ``ins``, ``v.bit_length()`` bits wide, counts the rows so
+    far with an arc into y."""
+    w = v.bit_length()
+    field = (1 << w) - 1
+    # each option once, with its out-degree, its arcs to earlier rows and
+    # its arcs as one count in each in-degree field
     options = [
-        [(r, r.bit_count(), tuple(bits(r & ((1 << i) - 1)))) for r in opts]
+        [
+            (
+                r,
+                r.bit_count(),
+                tuple(bits(r & ((1 << i) - 1))),
+                sum(1 << w * y for y in bits(r)),
+            )
+            for r in opts
+        ]
         for i, opts in enumerate(_reflexive_row_options(v))
     ]
     rows, degs = [], []
 
-    def extend(i, cap):
+    def extend(i, cap, ins):
         if i == v:
-            cols = transpose(rows)
             for x in range(1, v):
-                if degs[x] == degs[x - 1] and cols[x].bit_count() > cols[x - 1].bit_count():
-                    return
+                if degs[x] == degs[x - 1]:
+                    if ins >> w * x & field > ins >> w * (x - 1) & field:
+                        return
             yield tuple(rows)
             return
-        for r, deg, earlier in options[i]:
+        for r, deg, earlier, col in options[i]:
             if deg > cap:
                 continue
             # an earlier row has at least deg arcs, so only an arc from
@@ -184,11 +197,11 @@ def _tirs_candidates(v):
             else:
                 rows.append(r)
                 degs.append(deg)
-                yield from extend(i + 1, deg)
+                yield from extend(i + 1, deg, ins + col)
                 rows.pop()
                 degs.pop()
 
-    return extend(0, v)
+    return extend(0, v, 0)
 
 
 @lru_cache(maxsize=None)

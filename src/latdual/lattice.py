@@ -5,18 +5,17 @@ Conventions used throughout the package:
     - Elements are the integers 0..n-1.
     - The order relation is stored as one bitmask per element: bit j of
       ``up[i]`` is set iff i <= j, bit i of ``down[j]`` is set iff i <= j.
-    - Construction validates the order by one sweep per element i over
-      the elements above it, lowest first, keeping each b that nothing
-      strictly above i lies below and dropping everything above a kept
-      b. The order is valid iff ``up[i] & down[i]`` is i alone and
-      ``up[i]`` is i with the rows of its kept bits (transitivity, by
-      induction on the row size); the kept bits are the upper covers.
+    - Construction validates the order by one sweep per element
+      (``_bits.upper_covers``), which also yields the upper covers.
       Only a rejection runs the pairwise scan, which names the fault.
     - Every pair must have a meet and a join. ``FiniteLattice(up)``
-      checks this by filling the meet and join tables;
-      ``FiniteLattice.of_sets`` by intersection closure and the union,
-      building the tables on first read. Downstream code relies on
-      total tables and never re-checks.
+      checks this by a unique top and the intersection closure of the
+      principal down-sets; ``FiniteLattice.of_sets`` by the union and
+      the intersection closure of the sets. Both decide closure with
+      ``_bits.intersection_closed``, testing only the members with one
+      upper cover, and only a rejection runs a pairwise scan to name the
+      fault. The meet and join tables are built on first read. Downstream
+      code relies on total tables and never re-checks.
     - Witness-returning searches scan in lexicographic element order, so
       reported witnesses are reproducible.
 """
@@ -26,7 +25,15 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import _canon
-from ._bits import bits, inclusion, permute, transpose, unclosed_pair
+from ._bits import (
+    bits,
+    inclusion,
+    intersection_closed,
+    permute,
+    transpose,
+    unclosed_pair,
+    upper_covers,
+)
 from .errors import EmptyInterval, NoLowerCovers, NotALattice, NotAPartialOrder
 
 
@@ -39,25 +46,14 @@ class FiniteLattice:
     """
 
     def __init__(self, up, labels=None):
-        self.up = tuple(up)
-        self.n = len(self.up)
-        if self.n == 0:
-            raise NotALattice("a lattice needs at least one element")
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != self.n:
-                raise ValueError("labels length does not match element count")
-        self.labels = labels
-        # of_sets hands in the converse rows and has shown that the order
-        # is a lattice; its tables wait for their first read
-        down = vars(self).pop("_sets_down", None)
-        if any(row >> self.n for row in self.up) or not self._sweep(down):
-            self._validate_order()
-            raise RuntimeError("the order sweep failed, yet the scan found no fault")
-        if down is None:
-            self._meet, self._join = self._build_tables()
-        self.bottom = self._unique_full(self.up, "bottom")
-        self.top = self._unique_full(self.down, "top")
+        self._set_order(up, None, labels)
+        # with a top, an order is a lattice iff its principal down-sets
+        # are closed under intersection: the meet of a and b is the
+        # element whose down-set is down[a] & down[b]
+        full = (1 << self.n) - 1
+        if full not in self.down or not intersection_closed(self.down, self._upper):
+            self._build_tables()
+            raise RuntimeError("the closure check failed, yet the scan found no fault")
 
     @classmethod
     def of_sets(cls, masks, labels=None):
@@ -70,8 +66,9 @@ class FiniteLattice:
         union. Anything else raises NotALattice naming two sets, or the
         union. A lattice of sets whose meet is not the intersection fails
         this test and needs the generic constructor on its inclusion order.
-        Both order rows come from the membership columns; the meet and
-        join tables wait for their first read.
+        Both order rows come from the membership columns, and one sweep
+        gives the upper covers that ``intersection_closed`` reads; the
+        meet and join tables wait for their first read.
         """
         masks = tuple(masks)
         index, union = {}, 0
@@ -86,40 +83,37 @@ class FiniteLattice:
             raise NotALattice(
                 f"the union {sorted(bits(union))} of the sets is not one of them"
             )
-        pair = unclosed_pair(masks)
-        if pair is not None:
-            a, b = (sorted(bits(m)) for m in pair)
+        L = cls.__new__(cls)
+        L._set_order(*inclusion(masks), labels)
+        if not intersection_closed(masks, L._upper):
+            a, b = (sorted(bits(m)) for m in unclosed_pair(masks))
             raise NotALattice(
                 f"the intersection of {a} and {b} is not one of the sets"
             )
-        L = cls.__new__(cls)
-        up, L._sets_down = inclusion(masks)
-        L.__init__(up, labels)
         return L
 
     # -- construction helpers -------------------------------------------
 
-    def _sweep(self, down):
-        # sets down and the upper cover rows; False unless up is an order
-        up = self.up
-        self.down = down = down or transpose(up)
-        out = []
-        for i, row in enumerate(up):
-            strict = row & ~(1 << i)
-            rest, reach, kept = strict, 1 << i, 0
-            while rest:
-                low = rest & -rest
-                b = low.bit_length() - 1
-                if down[b] & strict == low:
-                    kept |= low
-                    reach |= up[b]
-                    rest &= ~reach
-                rest &= ~low
-            if row & down[i] != 1 << i or reach != row:
-                return False
-            out.append(kept)
-        self._upper = tuple(out)
-        return True
+    def _set_order(self, up, down, labels):
+        # up, down (the converse of up when given), labels and the upper
+        # cover rows; raises unless up is a partial order
+        self.up = tuple(up)
+        self.n = len(self.up)
+        if self.n == 0:
+            raise NotALattice("a lattice needs at least one element")
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
+            if len(labels) != self.n:
+                raise ValueError("labels length does not match element count")
+        self.labels = labels
+        upper = None
+        if not any(row >> self.n for row in self.up):
+            self.down = down or transpose(self.up)
+            upper = upper_covers(self.up, self.down)
+        if upper is None:
+            self._validate_order()
+            raise RuntimeError("the order sweep failed, yet the scan found no fault")
+        self._upper = upper
 
     def _validate_order(self):
         n, up = self.n, self.up
@@ -168,12 +162,13 @@ class FiniteLattice:
         self._meet, join = self._build_tables()
         return join
 
-    def _unique_full(self, rows, what):
-        full = (1 << self.n) - 1
-        found = [i for i in range(self.n) if rows[i] == full]
-        if len(found) != 1:
-            raise NotALattice(f"{what} element is not unique: {found}")
-        return found[0]
+    @cached_property
+    def bottom(self):
+        return self.up.index((1 << self.n) - 1)
+
+    @cached_property
+    def top(self):
+        return self.down.index((1 << self.n) - 1)
 
     # -- order and operations -------------------------------------------
 

@@ -139,6 +139,25 @@ def is_partial_order(rows):
     )
 
 
+def is_lattice(rows):
+    """A nonempty partial order in which every pair has a least common
+    upper bound and a greatest common lower bound, bound by bound."""
+    n = len(rows)
+
+    def le(i, j):
+        return bool(rows[i] >> j & 1)
+
+    for a in range(n):
+        for b in range(n):
+            upper = [x for x in range(n) if le(a, x) and le(b, x)]
+            lower = [x for x in range(n) if le(x, a) and le(x, b)]
+            if not any(all(le(u, x) for x in upper) for u in upper):
+                return False
+            if not any(all(le(x, g) for x in lower) for g in lower):
+                return False
+    return n > 0
+
+
 def cover_pairs(rows):
     """Pairs (a, b), a < b in the order with nothing strictly between,
     sorted."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import latdual as ld
 from latdual._bits import bits, permute
 from latdual.lattice import FiniteLattice
-from oracles import cover_pairs, is_partial_order, lattice_isomorphic_brute
+from oracles import cover_pairs, is_lattice, is_partial_order, lattice_isomorphic_brute
 
 
 def test_two_chain_basics():
@@ -224,8 +224,7 @@ def old_order_error(up):
 def order_of(up):
     # the order sweep alone, without the lattice check
     L = FiniteLattice.__new__(FiniteLattice)
-    L.up, L.n = tuple(up), len(up)
-    assert L._sweep(None)
+    L._set_order(up, None, None)
     return L
 
 
@@ -288,3 +287,70 @@ def relations(draw):
 @given(relations())
 def test_random_relations_are_checked_as_before(up):
     assert_order_checked_as_before(up)
+
+
+def old_lattice_error(up):
+    # the message of the table-filling scan that checked meets and joins
+    # before the closure check, or None if every pair has both
+    n = len(up)
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    up_rows, down_rows = set(up), set(down)
+    for a in range(n):
+        for b in range(a, n):
+            if up[a] & up[b] not in up_rows:
+                return f"elements {a} and {b} have no join"
+            if down[a] & down[b] not in down_rows:
+                return f"elements {a} and {b} have no meet"
+    return None
+
+
+@st.composite
+def posets(draw):
+    k = draw(st.integers(1, 6))
+    up = [1 << i for i in range(k)]
+    for i in range(k - 1, -1, -1):
+        for j in range(i + 1, k):
+            if draw(st.booleans()):
+                up[i] |= up[j]
+    shape = draw(st.sampled_from(("as drawn", "top added", "two maximal added")))
+    if shape == "top added":
+        up = [row | 1 << k for row in up] + [1 << k]
+    if shape == "two maximal added":
+        up = [row | 3 << k for row in up] + [1 << k, 1 << k + 1]
+    return permute(up, draw(st.permutations(range(len(up)))))
+
+
+@settings(max_examples=600, deadline=None)
+@given(posets())
+def test_lattice_check_matches_the_definition_on_posets(up):
+    """Posets with and without a top, and with two maximal elements: the
+    closure check accepts exactly the lattices, and a rejection names the
+    pair the table-filling scan named."""
+    expected = old_lattice_error(up)
+    assert (expected is None) == is_lattice(up)
+    if expected is None:
+        L = FiniteLattice(up)
+        assert "_meet" not in vars(L) and "_join" not in vars(L)
+        assert L.up[L.bottom] == L.down[L.top] == (1 << L.n) - 1
+    else:
+        with pytest.raises(ld.NotALattice) as exc:
+            FiniteLattice(up)
+        assert str(exc.value) == expected
+
+
+def test_constructors_build_the_tables_on_first_read():
+    cube = [(a, a | 1 << i) for a in range(8) for i in range(3) if not a >> i & 1]
+    B = ld.from_covers(8, cube)
+    for L in (
+        FiniteLattice(ld.fixture("N5").up),
+        ld.lattice_from_json(ld.lattice_to_json(ld.fixture("L4"))),
+        B,
+    ):
+        assert "_meet" not in vars(L) and "_join" not in vars(L)
+    assert [B.meet(a, b) for a in range(8) for b in range(8)] == [
+        a & b for a in range(8) for b in range(8)
+    ]
+    assert [B.join(a, b) for a in range(8) for b in range(8)] == [
+        a | b for a in range(8) for b in range(8)
+    ]
+    assert "_meet" in vars(B) and "_join" in vars(B)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import latdual as ld
 from latdual import duality
-from latdual._bits import bits, inclusion, transpose
+from latdual._bits import bits, inclusion, intersection_closed, transpose, upper_covers
 from latdual.convexity import ClosureSystem, cld_lattice
 from latdual.digraph import Digraph
 from latdual.duality import mdfips, mdfips_bruteforce, mpe_enumerate, mpe_lattice
@@ -95,6 +95,22 @@ def test_intersection_closed_families_match_the_generic_constructor(sets, rnd):
     L = FiniteLattice.of_sets(masks)
     assert same_lattice(L, FiniteLattice(inclusion(masks)[0]))
     assert L.down == transpose(L.up)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 63), unique=True, max_size=12), st.randoms())
+def test_intersection_closed_matches_the_pairwise_definition(sets, rnd):
+    """Families with their union, closed ones, and closed ones with one
+    member other than the union taken out."""
+    union = 0
+    for s in sets:
+        union |= s
+    closed = moore_family(sets, rnd)
+    families = [list({*sets, union}), closed]
+    families += [closed[:i] + closed[i + 1 :] for i, m in enumerate(closed) if m != union]
+    for family in families:
+        upper = upper_covers(*inclusion(family))
+        assert intersection_closed(family, upper) == closed_under_intersection(set(family))
 
 
 @settings(max_examples=100, deadline=None)

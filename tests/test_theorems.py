@@ -4,6 +4,7 @@ import json
 import pytest
 
 import latdual as ld
+from latdual import theorems
 from latdual.theorems import REGISTRY, REGISTRY_IDS, TheoremCheck
 from oracles import count_lattice_classes, djsd_lti_r, reflexive_rows
 from test_enumeration import EXPECTED_LATTICE_COUNTS, EXPECTED_TIRS_COUNTS
@@ -145,3 +146,16 @@ def test_search_validates_names():
         ld.search_counterexamples("mod", "sparkles", max_n=4)
     with pytest.raises(ld.UnknownProperty):
         ld.search_counterexamples("sparkles", "mod", max_n=4)
+
+
+def test_the_definitional_pairs_are_enumerated_once_per_lattice(monkeypatch):
+    calls = []
+
+    def counting(L):
+        calls.append(L)
+        return ld.mdfips_bruteforce(L)
+
+    monkeypatch.setattr(theorems, "mdfips_bruteforce", counting)
+    checks = {c.id: c for c in ld.verify_theorems(max_n=6)}
+    assert checks["PROP_2_2"].passed and checks["THM_3_2"].passed
+    assert len(calls) == len(set(map(id, calls))) == checks["THM_3_2"].checked == 25
