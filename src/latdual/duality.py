@@ -29,7 +29,9 @@ MAX_MAP_LATTICE_N = 4096
 
 
 def mdfips(L):
-    """All maximal disjoint filter-ideal generator pairs, sorted.
+    """All maximal disjoint filter-ideal generator pairs, sorted, as a
+    new list. They are found on the first call for a lattice and kept
+    on it as a tuple.
 
     By the definition, on the order rows alone: (a, b) is maximal iff
     a is not below b, every a2 < a is below b and every b2 > b is above
@@ -37,51 +39,54 @@ def mdfips(L):
     Two lower covers of a below b would put a below b, so a is join
     irreducible; dually b is meet irreducible.
     """
+    pairs = vars(L).get("_mdfips")
+    if pairs is None:
+        pairs = L._mdfips = _maximal_pairs(L)
+    return list(pairs)
+
+
+def _maximal_pairs(L):
     up, down, mis = L.up, L.down, meet_irreducibles(L)
-    return [
+    return tuple(
         (a, b)
         for a in join_irreducibles(L)
         for b in mis
         if not up[a] >> b & 1
         and down[a] & ~down[b] == 1 << a and up[b] & ~up[a] == 1 << b
-    ]
+    )
 
 
 def mdfips_bruteforce(L):
-    """Definitional enumeration, quadratic dominance scan per pair.
+    """Definitional enumeration: a pair (a, b) with a not below b is
+    maximal iff no other pair (a2, b2) with a2 <= a and b2 >= b keeps a2
+    not below b2.
 
-    Kept as the in-package oracle for the order-row test above: a pair
-    (a, b) with a not below b is maximal iff no other pair (a2, b2) with
-    a2 <= a and b2 >= b keeps a2 not below b2.
+    Kept as the in-package reference for the order-row test above. Per
+    a2 <= a, the b2 >= b not above a2 are ``up[b] & ~up[a2]``: none may
+    exist, except b itself when a2 is a.
     """
+    up, down = L.up, L.down
     out = []
     for a in range(L.n):
+        below = tuple(bits(down[a]))
         for b in range(L.n):
-            if L.leq(a, b):
-                continue
-            maximal = True
-            for a2 in bits(L.down[a]):
-                for b2 in bits(L.up[b]):
-                    if (a2, b2) == (a, b):
-                        continue
-                    if not L.leq(a2, b2):
-                        maximal = False
-                        break
-                if not maximal:
-                    break
-            if maximal:
+            if not up[a] >> b & 1 and all(
+                up[b] & ~up[a2] == (1 << b if a2 == a else 0) for a2 in below
+            ):
                 out.append((a, b))
-    return sorted(out)
+    return out
 
 
 def dual_digraph(L):
-    """The reflexive digraph on the MDFIPs of L."""
+    """The reflexive digraph on the MDFIPs of L: an arc from (a, b) to
+    (c, d) iff a is not below d."""
     verts = mdfips(L)
+    up = L.up
     rows = []
     for a, _ in verts:
-        row = 0
+        ua, row = up[a], 0
         for j, (_, d) in enumerate(verts):
-            if not L.leq(a, d):
+            if not ua >> d & 1:
                 row |= 1 << j
         rows.append(row)
     names = None

@@ -42,7 +42,7 @@ from .digraph import Digraph, check_tirs
 from .errors import BoundTooLarge
 from .lattice import FiniteLattice, _canonical
 
-MAX_LATTICE_N = 8
+MAX_LATTICE_N = 10
 MAX_TIRS_V = 5
 
 

@@ -175,12 +175,6 @@ class FiniteLattice:
     def leq(self, a, b):
         return bool(self.up[a] >> b & 1)
 
-    def lt(self, a, b):
-        return a != b and self.leq(a, b)
-
-    def incomparable(self, a, b):
-        return not self.leq(a, b) and not self.leq(b, a)
-
     def meet(self, a, b):
         return self._meet[a][b]
 
@@ -199,6 +193,14 @@ class FiniteLattice:
     def _cover_lists(self):
         sides = (transpose(self._upper), self._upper)
         return tuple(tuple(tuple(bits(row)) for row in rows) for rows in sides)
+
+    @cached_property
+    def _irreducibles(self):
+        # (join irreducibles, meet irreducibles): one lower or upper cover
+        return tuple(
+            tuple(a for a, cs in enumerate(side) if len(cs) == 1)
+            for side in self._cover_lists
+        )
 
     def lower_covers(self, a):
         return self._cover_lists[0][a]
@@ -274,13 +276,15 @@ def from_covers(n, covers, labels=None):
 
 
 def join_irreducibles(L):
-    """Elements with exactly one lower cover, as a sorted tuple."""
-    return tuple(a for a in range(L.n) if len(L.lower_covers(a)) == 1)
+    """Elements with exactly one lower cover, as a sorted tuple, found
+    once per lattice from its cover lists and kept on it."""
+    return L._irreducibles[0]
 
 
 def meet_irreducibles(L):
-    """Elements with exactly one upper cover, as a sorted tuple."""
-    return tuple(a for a in range(L.n) if len(L.upper_covers(a)) == 1)
+    """Elements with exactly one upper cover, as a sorted tuple, found
+    once per lattice from its cover lists and kept on it."""
+    return L._irreducibles[1]
 
 
 def mu(L, a):
@@ -366,18 +370,15 @@ def find_n5_sublattices(L):
     Here z = a^b = a^c, o = a|b = a|c, b < c, and a is incomparable to
     both b and c. Tuples come out lexicographically sorted.
     """
+    up, down, full = L.up, L.down, (1 << L.n) - 1
     out = []
     for a in range(L.n):
-        others = [x for x in range(L.n) if L.incomparable(a, x)]
-        for b in others:
-            for c in others:
-                if not L.lt(b, c):
-                    continue
-                if L.meet(a, b) != L.meet(a, c):
-                    continue
-                if L.join(a, b) != L.join(a, c):
-                    continue
-                out.append((L.meet(a, b), a, b, c, L.join(a, b)))
+        others = full & ~(up[a] | down[a])
+        ma, ja = L._meet[a], L._join[a]
+        for b in bits(others):
+            for c in bits(others & up[b] & ~(1 << b)):
+                if ma[b] == ma[c] and ja[b] == ja[c]:
+                    out.append((ma[b], a, b, c, ja[b]))
     return sorted(out)
 
 

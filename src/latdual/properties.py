@@ -55,28 +55,35 @@ def is_lsm(L):
     return PropertyReport("lsm", True)
 
 
+def _jm_cover_pairs(L):
+    """(a, b, b covered by a|b, a^b covered by a) for every join
+    irreducible a and meet irreducible b, read off the meet and join
+    tables."""
+    mi = meet_irreducibles(L)
+    for a in join_irreducibles(L):
+        ma, ja = L._meet[a], L._join[a]
+        for b in mi:
+            yield a, b, L.is_cover(b, ja[b]), L.is_cover(ma[b], a)
+
+
 def is_jm_lsm(L):
     """Join/meet irreducible restriction of lower semimodularity.
 
     For a join irreducible and b meet irreducible: b covered by a|b
     forces a^b covered by a.
     """
-    mi = meet_irreducibles(L)
-    for a in join_irreducibles(L):
-        for b in mi:
-            if L.is_cover(b, L.join(a, b)) and not L.is_cover(L.meet(a, b), a):
-                return PropertyReport("jmlsm", False, (a, b))
+    for a, b, upper, lower in _jm_cover_pairs(L):
+        if upper and not lower:
+            return PropertyReport("jmlsm", False, (a, b))
     return PropertyReport("jmlsm", True)
 
 
 def is_jm_usm(L):
     """For a join irreducible and b meet irreducible: a^b covered by a
     forces b covered by a|b."""
-    mi = meet_irreducibles(L)
-    for a in join_irreducibles(L):
-        for b in mi:
-            if L.is_cover(L.meet(a, b), a) and not L.is_cover(b, L.join(a, b)):
-                return PropertyReport("jmusm", False, (a, b))
+    for a, b, upper, lower in _jm_cover_pairs(L):
+        if lower and not upper:
+            return PropertyReport("jmusm", False, (a, b))
     return PropertyReport("jmusm", True)
 
 
@@ -158,14 +165,24 @@ def is_sd(L):
 def is_wjsd(L):
     """Join semidistributive law restricted to a meet irreducible first
     argument and a join irreducible second argument."""
-    ji = join_irreducibles(L)
+    ji, meet = join_irreducibles(L), L._meet
     for a in meet_irreducibles(L):
+        ja = L._join[a]
         for b in ji:
+            ab, mb = ja[b], meet[b]
             for c in range(L.n):
-                ab = L.join(a, b)
-                if ab == L.join(a, c) and ab != L.join(a, L.meet(b, c)):
+                if ab == ja[c] and ab != ja[mb[c]]:
                     return PropertyReport("wjsd", False, (a, b, c))
     return PropertyReport("wjsd", True)
+
+
+def _irreducible_disjoint_pairs(L):
+    # (a, b) for a join irreducible and b meet irreducible, a not below b
+    up, mi = L.up, meet_irreducibles(L)
+    for a in join_irreducibles(L):
+        for b in mi:
+            if not up[a] >> b & 1:
+                yield a, b
 
 
 def satisfies_labc(L):
@@ -174,27 +191,23 @@ def satisfies_labc(L):
     For a join irreducible and b meet irreducible with a not below b,
     some c >= b makes (a, c) an MDFIP.
     """
-    pairs = mdfips(L)
-    mi = meet_irreducibles(L)
-    for a in join_irreducibles(L):
-        for b in mi:
-            if L.leq(a, b):
-                continue
-            if not any(a2 == a and L.leq(b, c) for a2, c in pairs):
-                return PropertyReport("labc", False, (a, b))
+    ideals = [0] * L.n  # ideals[a]: the c with (a, c) an MDFIP
+    for a, c in mdfips(L):
+        ideals[a] |= 1 << c
+    for a, b in _irreducible_disjoint_pairs(L):
+        if not L.up[b] & ideals[a]:
+            return PropertyReport("labc", False, (a, b))
     return PropertyReport("labc", True)
 
 
 def satisfies_uabc(L):
     """Dual extension: some c <= a makes (c, b) an MDFIP."""
-    pairs = mdfips(L)
-    mi = meet_irreducibles(L)
-    for a in join_irreducibles(L):
-        for b in mi:
-            if L.leq(a, b):
-                continue
-            if not any(b2 == b and L.leq(c, a) for c, b2 in pairs):
-                return PropertyReport("uabc", False, (a, b))
+    filters = [0] * L.n  # filters[b]: the c with (c, b) an MDFIP
+    for c, b in mdfips(L):
+        filters[b] |= 1 << c
+    for a, b in _irreducible_disjoint_pairs(L):
+        if not L.down[a] & filters[b]:
+            return PropertyReport("uabc", False, (a, b))
     return PropertyReport("uabc", True)
 
 

@@ -6,6 +6,14 @@ catalog, or both. A record fails by producing counterexamples, never by
 raising. One-directional implications also collect non-converse
 witnesses: cases where the conclusion holds but a hypothesis fails,
 demonstrating that the implication cannot be reversed.
+
+The bespoke checks read the order as bitmask rows rather than through
+``leq`` and ``meet``/``join`` calls: one comparison is ``up[a] >> b & 1``,
+and "some x with ..." is one row expression, such as
+``down[a] & ~down[b] & ji`` for a join irreducible below a but not b.
+That changes how a check computes, never what it tests or reports. The
+derived data of a case (dual digraph, MDFIPs, maps, map lattice) is
+built once and shared by every statement.
 """
 
 from __future__ import annotations
@@ -14,9 +22,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from ._bits import bits
+from ._bits import bits, mask
 from .convexity import cld_lattice, is_zero_closure, lattice_to_convex_geometry, satisfies_aep
-from .digraph import Digraph, _reduction_witness, check_djsd, check_lti, check_tirs, digraph_to_json
+from .digraph import (
+    Digraph,
+    _reduction_witness,
+    check_djsd,
+    check_lti,
+    check_tirs,
+    digraph_isomorphic,
+    digraph_to_json,
+)
 from .duality import (
     dual_digraph,
     mdfips,
@@ -24,8 +40,6 @@ from .duality import (
     mpe_enumerate,
     mpe_lattice,
     roundtrip_digraph,
-    roundtrip_lattice,
-    t_set,
 )
 from .enumeration import _reflexive_row_options, enumerate_lattices, enumerate_tirs_digraphs
 from .errors import UnknownProperty
@@ -160,23 +174,23 @@ def _nonconverse(hyps, concs):
 
 def _prop_2_2(case):
     L = case.lattice
-    ji = set(join_irreducibles(L))
-    mi = set(meet_irreducibles(L))
+    ji, mi = mask(join_irreducibles(L)), mask(meet_irreducibles(L))
     for a, b in case.pairs_by_definition:
-        if a not in ji or b not in mi:
+        if not ji >> a & 1 or not mi >> b & 1:
             return False, {"pair": [a, b]}
     return True, None
 
 
 def _lem_2_3(case):
-    L = case.lattice
-    G = case.digraph
+    up, down = case.lattice.up, case.lattice.down
+    rows, cols = case.digraph.rows, case.digraph.cols
     verts = case.pairs
     for i, (a, b) in enumerate(verts):
+        out_i, in_i, above_a, below_b = rows[i], cols[i], up[a], down[b]
         for j, (c, d) in enumerate(verts):
-            if (G.rows[i] & ~G.rows[j] == 0) != L.leq(a, c):
+            if (not out_i & ~rows[j]) != (above_a >> c & 1):
                 return False, {"x": [a, b], "y": [c, d], "side": "out"}
-            if (G.cols[i] & ~G.cols[j] == 0) != L.leq(d, b):
+            if (not in_i & ~cols[j]) != (below_b >> d & 1):
                 return False, {"x": [a, b], "y": [c, d], "side": "in"}
     return True, None
 
@@ -189,21 +203,25 @@ def _prop_2_5(case):
 
 
 def _thm_2_6_lattice(case):
-    if roundtrip_lattice(case.lattice):
+    # the case's own dual digraph, so the round trip builds only its map lattice
+    if lattice_isomorphic(case.lattice, mpe_lattice(case.digraph))[0]:
         return True, None
     return False, None
 
 
 def _thm_2_6_digraph(case):
-    if roundtrip_digraph(case.digraph):
+    # the case's own map lattice, so the round trip builds only its dual
+    if digraph_isomorphic(case.digraph, dual_digraph(case.lattice))[0]:
         return True, None
     return False, None
 
 
 def _ploscica(maps):
-    for f in maps:
-        for g in maps:
-            if (f.ones <= g.ones) != (g.zeros <= f.zeros):
+    sides = [(mask(f.ones), mask(f.zeros)) for f in maps]
+    for i, (f_ones, f_zeros) in enumerate(sides):
+        for j, (g_ones, g_zeros) in enumerate(sides):
+            if (not f_ones & ~g_ones) != (not g_zeros & ~f_zeros):
+                f, g = maps[i], maps[j]
                 return False, {
                     "f": [sorted(f.ones), sorted(f.zeros)],
                     "g": [sorted(g.ones), sorted(g.zeros)],
@@ -213,13 +231,13 @@ def _ploscica(maps):
 
 def _lem_3_1(case):
     L = case.lattice
-    ji = join_irreducibles(L)
-    mi = meet_irreducibles(L)
+    up, down = L.up, L.down
+    ji, mi = mask(join_irreducibles(L)), mask(meet_irreducibles(L))
     for a in range(L.n):
         for b in range(L.n):
-            nle = not L.leq(a, b)
-            viaj = any(L.leq(j, a) and not L.leq(j, b) for j in ji)
-            viam = any(L.leq(b, m) and not L.leq(a, m) for m in mi)
+            nle = not up[a] >> b & 1
+            viaj = bool(down[a] & ~down[b] & ji)
+            viam = bool(up[b] & ~up[a] & mi)
             if not (nle == viaj == viam):
                 return False, {"a": a, "b": b}
     return True, None
@@ -227,14 +245,14 @@ def _lem_3_1(case):
 
 def _thm_3_2(case):
     # the characterisation itself, against the definitional enumeration
-    L, mi = case.lattice, meet_irreducibles(case.lattice)
-    fast = [
-        (a, b)
-        for a in join_irreducibles(L)
-        for b in mi
-        if not L.leq(a, b)
-        and L.is_cover(b, L.join(a, b)) and L.is_cover(L.meet(a, b), a)
-    ]
+    L = case.lattice
+    up, mi = L.up, meet_irreducibles(L)
+    fast = []
+    for a in join_irreducibles(L):
+        ja, ma = L._join[a], L._meet[a]
+        for b in mi:
+            if not up[a] >> b & 1 and L.is_cover(b, ja[b]) and L.is_cover(ma[b], a):
+                fast.append((a, b))
     slow = case.pairs_by_definition
     if fast == slow:
         return True, None
@@ -243,34 +261,42 @@ def _thm_3_2(case):
 
 def _lem_3_4(case):
     L = case.lattice
+    up, down = L.up, L.down
     for b in meet_irreducibles(L):
+        jb = L._join[b]
         for a in range(L.n):
-            if not L.is_cover(b, L.join(a, b)):
+            if not L.is_cover(b, jb[a]):
                 continue
-            for c in bits(L.up[b] & ~(1 << b)):
-                if not L.leq(a, c):
-                    return False, {"part": "upper", "a": a, "b": b, "c": c}
+            # strictly above b but not above a
+            bad = up[b] & ~(1 << b) & ~up[a]
+            if bad:
+                return False, {"part": "upper", "a": a, "b": b, "c": next(bits(bad))}
     for a in join_irreducibles(L):
+        ma = L._meet[a]
         for b in range(L.n):
-            if not L.is_cover(L.meet(a, b), a):
+            if not L.is_cover(ma[b], a):
                 continue
-            for d in bits(L.down[a] & ~(1 << a)):
-                if not L.leq(d, b):
-                    return False, {"part": "lower", "a": a, "b": b, "d": d}
+            # strictly below a but not below b
+            bad = down[a] & ~(1 << a) & ~down[b]
+            if bad:
+                return False, {"part": "lower", "a": a, "b": b, "d": next(bits(bad))}
     return True, None
 
 
 def _lem_3_5(case):
     L = case.lattice
+    up, join = L.up, L._join
+    mi = mask(meet_irreducibles(L))
     for a in range(L.n):
         for b in range(L.n):
-            if L.leq(a, b):
+            if up[a] >> b & 1:
                 continue
-            ts = t_set(L, a, b)
-            for d in ts:
-                if any(e != d and L.lt(d, e) for e in ts):
-                    continue
-                if not L.is_cover(d, L.join(d, a)):
+            # the meet irreducibles above b that avoid a
+            ts = mi & up[b] & ~up[a]
+            for d in bits(ts):
+                if up[d] & ts != 1 << d:
+                    continue  # not maximal in ts
+                if not L.is_cover(d, join[d][a]):
                     return False, {"a": a, "b": b, "d": d}
     return True, None
 
@@ -290,12 +316,14 @@ def _prop_3_7(case):
 
 def _lem_5_1(case):
     L = case.lattice
-    idx = {p: i for i, p in enumerate(case.pairs)}
-    G = case.digraph
+    up, down = L.up, L.down
+    pairs = case.pairs
+    idx = {p: i for i, p in enumerate(pairs)}
+    rows = case.digraph.rows
     for z0, a, b, c, o in find_n5_sublattices(L):
         # the maximal extensions of the pairs (a, c), (c, b) and (b, a)
         xs, ys, ws = (
-            [pair for pair in case.pairs if L.leq(pair[0], u) and L.leq(v, pair[1])]
+            [pair for pair in pairs if down[u] >> pair[0] & 1 and up[v] >> pair[1] & 1]
             for u, v in ((a, c), (c, b), (b, a))
         )
         for x in xs:
@@ -312,11 +340,11 @@ def _lem_5_1(case):
                     for p, q in (
                         (i, j), (j, i), (i, k), (k, i), (j, k), (k, j),
                     ):
-                        if G.has_arc(p, q) and (p, q) not in allowed:
+                        if rows[p] >> q & 1 and (p, q) not in allowed:
                             return False, {
                                 "pentagon": [z0, a, b, c, o],
                                 "triple": [list(x), list(y), list(w)],
-                                "arc": [list(case.pairs[p]), list(case.pairs[q])],
+                                "arc": [list(pairs[p]), list(pairs[q])],
                             }
     return True, None
 
@@ -677,13 +705,14 @@ def search_counterexamples(holds, fails, max_n=7):
     """Catalog lattices where property `holds` is true and `fails` is false.
 
     Both names may be lattice laws or digraph axioms; axioms are read off
-    the dual digraph.
+    the dual digraph, built once per lattice.
     """
     for name in (holds, fails):
         if name not in LATTICE_CHECKS and name not in DIGRAPH_CHECKS:
             raise UnknownProperty(f"no property named {name!r}")
     out = []
     for L in enumerate_lattices(max_n).entries:
-        if check_lattice_property(holds, L) and not check_lattice_property(fails, L):
+        case = LatticeCase(L)
+        if case.flag(holds) and not case.flag(fails):
             out.append(L)
     return out

@@ -6,9 +6,19 @@ counting, a sweep of every reflexive digraph for the TiRS classes, a
 complete 3^v sweep and a pruned three-way scan for maximal partial map
 enumeration, and triple scans of the defining identities for the lattice
 laws. The package must agree with these on every small case.
+
+The statement checks and the helpers they call are also kept here in
+their earlier form, reading the order through ``leq``, ``meet`` and
+``join`` one pair at a time, so that the row-mask versions in the
+package can be compared with them case by case. They read the
+irreducibles, the MDFIPs and the meet and join tables through the same
+accessors as the package, so a corrupted cache reaches both alike.
 """
 
 from itertools import combinations, permutations, product
+
+from latdual.duality import mdfips, mpe_lattice
+from latdual.lattice import join_irreducibles, meet_irreducibles
 
 
 def bits(mask):
@@ -425,3 +435,301 @@ def convex_sets(points):
         if not any(inside(p, *t) for p in outside for t in combinations(members, 3)):
             closed.append(mask)
     return closed
+
+
+# -- Statement checks and their helpers as written on leq, meet and join.
+# Each takes what the package function takes and returns the same value.
+
+
+def lt(L, a, b):
+    return a != b and L.leq(a, b)
+
+
+def mdfips_bruteforce(L):
+    out = []
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.leq(a, b):
+                continue
+            maximal = True
+            for a2 in bits(L.down[a]):
+                for b2 in bits(L.up[b]):
+                    if (a2, b2) == (a, b):
+                        continue
+                    if not L.leq(a2, b2):
+                        maximal = False
+                        break
+                if not maximal:
+                    break
+            if maximal:
+                out.append((a, b))
+    return sorted(out)
+
+
+def dual_digraph_rows(L):
+    verts = mdfips(L)
+    rows = []
+    for a, _ in verts:
+        row = 0
+        for j, (_, d) in enumerate(verts):
+            if not L.leq(a, d):
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def find_n5_sublattices(L):
+    out = []
+    for a in range(L.n):
+        others = [x for x in range(L.n) if not L.leq(a, x) and not L.leq(x, a)]
+        for b in others:
+            for c in others:
+                if not lt(L, b, c):
+                    continue
+                if L.meet(a, b) != L.meet(a, c):
+                    continue
+                if L.join(a, b) != L.join(a, c):
+                    continue
+                out.append((L.meet(a, b), a, b, c, L.join(a, b)))
+    return sorted(out)
+
+
+def t_set(L, a, b):
+    return frozenset(
+        m for m in meet_irreducibles(L) if L.leq(b, m) and not L.leq(a, m)
+    )
+
+
+def jmlsm_witness(L):
+    mi = meet_irreducibles(L)
+    for a in join_irreducibles(L):
+        for b in mi:
+            if L.is_cover(b, L.join(a, b)) and not L.is_cover(L.meet(a, b), a):
+                return (a, b)
+    return None
+
+
+def jmusm_witness(L):
+    mi = meet_irreducibles(L)
+    for a in join_irreducibles(L):
+        for b in mi:
+            if L.is_cover(L.meet(a, b), a) and not L.is_cover(b, L.join(a, b)):
+                return (a, b)
+    return None
+
+
+def wjsd_witness(L):
+    ji = join_irreducibles(L)
+    for a in meet_irreducibles(L):
+        for b in ji:
+            for c in range(L.n):
+                ab = L.join(a, b)
+                if ab == L.join(a, c) and ab != L.join(a, L.meet(b, c)):
+                    return (a, b, c)
+    return None
+
+
+def labc_witness(L):
+    pairs = mdfips(L)
+    mi = meet_irreducibles(L)
+    for a in join_irreducibles(L):
+        for b in mi:
+            if L.leq(a, b):
+                continue
+            if not any(a2 == a and L.leq(b, c) for a2, c in pairs):
+                return (a, b)
+    return None
+
+
+def uabc_witness(L):
+    pairs = mdfips(L)
+    mi = meet_irreducibles(L)
+    for a in join_irreducibles(L):
+        for b in mi:
+            if L.leq(a, b):
+                continue
+            if not any(b2 == b and L.leq(c, a) for c, b2 in pairs):
+                return (a, b)
+    return None
+
+
+def prop_2_2(case):
+    L = case.lattice
+    ji = set(join_irreducibles(L))
+    mi = set(meet_irreducibles(L))
+    for a, b in case.pairs_by_definition:
+        if a not in ji or b not in mi:
+            return False, {"pair": [a, b]}
+    return True, None
+
+
+def lem_2_3(case):
+    L = case.lattice
+    G = case.digraph
+    verts = case.pairs
+    for i, (a, b) in enumerate(verts):
+        for j, (c, d) in enumerate(verts):
+            if (G.rows[i] & ~G.rows[j] == 0) != L.leq(a, c):
+                return False, {"x": [a, b], "y": [c, d], "side": "out"}
+            if (G.cols[i] & ~G.cols[j] == 0) != L.leq(d, b):
+                return False, {"x": [a, b], "y": [c, d], "side": "in"}
+    return True, None
+
+
+def rows_isomorphic_graded(rows1, rows2):
+    """Isomorphism of two relations by trying every bijection that keeps
+    each element's (row size, column size), element by element with the
+    pairs placed so far checked at each step."""
+    n = len(rows1)
+    if n != len(rows2):
+        return False
+
+    def grades(rows):
+        cols = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+        return [(bin(rows[i]).count("1"), bin(cols[i]).count("1")) for i in range(n)]
+
+    g1, g2 = grades(rows1), grades(rows2)
+    if sorted(g1) != sorted(g2):
+        return False
+    image = []  # image[p]: the element of rows1 placed at p of rows2
+
+    def extend(p):
+        if p == n:
+            return True
+        for x in range(n):
+            if x in image or g1[x] != g2[p]:
+                continue
+            if all(
+                (rows1[x] >> image[q] & 1) == (rows2[p] >> q & 1)
+                and (rows1[image[q]] >> x & 1) == (rows2[q] >> p & 1)
+                for q in range(p)
+            ) and (rows1[x] >> x & 1) == (rows2[p] >> p & 1):
+                image.append(x)
+                if extend(p + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)
+
+
+def thm_2_6_lattice(case):
+    """The lattice is isomorphic to the map lattice of the case's dual
+    digraph (the earlier body built that dual again from the lattice)."""
+    if rows_isomorphic_graded(case.lattice.up, mpe_lattice(case.digraph).up):
+        return True, None
+    return False, None
+
+
+def thm_2_6_digraph(case):
+    """The digraph is isomorphic to the dual of the case's map lattice
+    (the earlier body built that lattice again from the digraph)."""
+    if rows_isomorphic_graded(case.digraph.rows, dual_digraph_rows(case.lattice)):
+        return True, None
+    return False, None
+
+
+def ploscica(maps):
+    for f in maps:
+        for g in maps:
+            if (f.ones <= g.ones) != (g.zeros <= f.zeros):
+                return False, {
+                    "f": [sorted(f.ones), sorted(f.zeros)],
+                    "g": [sorted(g.ones), sorted(g.zeros)],
+                }
+    return True, None
+
+
+def lem_3_1(case):
+    L = case.lattice
+    ji = join_irreducibles(L)
+    mi = meet_irreducibles(L)
+    for a in range(L.n):
+        for b in range(L.n):
+            nle = not L.leq(a, b)
+            viaj = any(L.leq(j, a) and not L.leq(j, b) for j in ji)
+            viam = any(L.leq(b, m) and not L.leq(a, m) for m in mi)
+            if not (nle == viaj == viam):
+                return False, {"a": a, "b": b}
+    return True, None
+
+
+def thm_3_2(case):
+    L, mi = case.lattice, meet_irreducibles(case.lattice)
+    fast = [
+        (a, b)
+        for a in join_irreducibles(L)
+        for b in mi
+        if not L.leq(a, b)
+        and L.is_cover(b, L.join(a, b)) and L.is_cover(L.meet(a, b), a)
+    ]
+    slow = case.pairs_by_definition
+    if fast == slow:
+        return True, None
+    return False, {"fast": [list(p) for p in fast], "slow": [list(p) for p in slow]}
+
+
+def lem_3_4(case):
+    L = case.lattice
+    for b in meet_irreducibles(L):
+        for a in range(L.n):
+            if not L.is_cover(b, L.join(a, b)):
+                continue
+            for c in bits(L.up[b] & ~(1 << b)):
+                if not L.leq(a, c):
+                    return False, {"part": "upper", "a": a, "b": b, "c": c}
+    for a in join_irreducibles(L):
+        for b in range(L.n):
+            if not L.is_cover(L.meet(a, b), a):
+                continue
+            for d in bits(L.down[a] & ~(1 << a)):
+                if not L.leq(d, b):
+                    return False, {"part": "lower", "a": a, "b": b, "d": d}
+    return True, None
+
+
+def lem_3_5(case):
+    L = case.lattice
+    for a in range(L.n):
+        for b in range(L.n):
+            if L.leq(a, b):
+                continue
+            ts = t_set(L, a, b)
+            for d in ts:
+                if any(e != d and lt(L, d, e) for e in ts):
+                    continue
+                if not L.is_cover(d, L.join(d, a)):
+                    return False, {"a": a, "b": b, "d": d}
+    return True, None
+
+
+def lem_5_1(case):
+    L = case.lattice
+    idx = {p: i for i, p in enumerate(case.pairs)}
+    G = case.digraph
+    for z0, a, b, c, o in find_n5_sublattices(L):
+        xs, ys, ws = (
+            [pair for pair in case.pairs if L.leq(pair[0], u) and L.leq(v, pair[1])]
+            for u, v in ((a, c), (c, b), (b, a))
+        )
+        for x in xs:
+            for y in ys:
+                for w in ws:
+                    if len({x, y, w}) != 3:
+                        return False, {
+                            "pentagon": [z0, a, b, c, o],
+                            "triple": [list(x), list(y), list(w)],
+                            "reason": "not distinct",
+                        }
+                    i, j, k = idx[x], idx[y], idx[w]
+                    allowed = {(i, j), (j, k)}
+                    for p, q in (
+                        (i, j), (j, i), (i, k), (k, i), (j, k), (k, j),
+                    ):
+                        if G.has_arc(p, q) and (p, q) not in allowed:
+                            return False, {
+                                "pentagon": [z0, a, b, c, o],
+                                "triple": [list(x), list(y), list(w)],
+                                "arc": [list(case.pairs[p]), list(case.pairs[q])],
+                            }
+    return True, None

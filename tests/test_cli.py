@@ -9,6 +9,7 @@ import pytest
 
 import latdual as ld
 from latdual.cli import main
+from latdual.enumeration import MAX_LATTICE_N
 from latdual.lattice import lattice_from_json, lattice_to_json
 from latdual.digraph import digraph_to_json
 
@@ -126,7 +127,7 @@ def test_enumerate_to_file(tmp_path, capsys):
 
 
 def test_enumerate_over_bound(capsys):
-    assert main(["enumerate", "--max-n", "9"]) == 2
+    assert main(["enumerate", "--max-n", str(MAX_LATTICE_N + 1)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -45,6 +45,27 @@ def test_characterisation_matches_bruteforce_on_catalog(catalog6):
         assert ld.mdfips(L) == ld.mdfips_bruteforce(L)
 
 
+def test_cached_results_do_not_change_through_what_a_call_returned():
+    L = ld.fixture("L3D")
+    pairs = ld.mdfips(L)
+    want = list(pairs)
+    pairs.append((0, 0))
+    pairs[0] = (4, 4)
+    assert ld.mdfips(L) == want
+    ld.mdfips(L).clear()
+    assert ld.mdfips(L) == want == ld.mdfips_bruteforce(L)
+    for irreducibles, covers in (
+        (ld.join_irreducibles, L.lower_covers),
+        (ld.meet_irreducibles, L.upper_covers),
+    ):
+        got = irreducibles(L)
+        want = tuple(a for a in range(L.n) if len(covers(a)) == 1)
+        assert got == want and got
+        with pytest.raises(TypeError):
+            got[0] = L.top
+        assert irreducibles(L) is got
+
+
 def test_pentagon_dual_arcs():
     G = ld.dual_digraph(ld.fixture("N5"))
     assert G.names == ("ab", "bc", "ca")

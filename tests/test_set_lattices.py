@@ -179,6 +179,28 @@ def test_map_lattice_roundtrip_builds_no_tables(monkeypatch):
     assert "_meet" not in vars(L) and "_join" not in vars(L)
 
 
+def test_irreducible_and_pair_caches_build_no_tables(monkeypatch):
+    """The round trip of 10 loops fills the irreducible and MDFIP caches
+    of the 2^10 map lattice from its order rows; the meet and join tables
+    stay unbuilt."""
+    built = []
+
+    def recording_mpe_lattice(G):
+        built.append(mpe_lattice(G))
+        return built[-1]
+
+    monkeypatch.setattr(duality, "mpe_lattice", recording_mpe_lattice)
+    assert duality.roundtrip_digraph(loops(10))
+    [L] = built
+    assert "_irreducibles" in vars(L) and "_mdfips" in vars(L)
+    atoms = [pos for pos in range(L.n) if L.down[pos].bit_count() == 2]
+    coatoms = [pos for pos in range(L.n) if L.up[pos].bit_count() == 2]
+    assert ld.join_irreducibles(L) == tuple(atoms)
+    assert ld.meet_irreducibles(L) == tuple(coatoms)
+    assert len(mdfips(L)) == 10
+    assert "_meet" not in vars(L) and "_join" not in vars(L)
+
+
 def test_map_lattice_tables_are_built_on_first_read():
     L = mpe_lattice(loops(10))
     ld.lattice_to_json(L)

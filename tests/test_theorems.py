@@ -4,7 +4,7 @@ import json
 import pytest
 
 import latdual as ld
-from latdual import theorems
+from latdual import duality, theorems
 from latdual.theorems import REGISTRY, REGISTRY_IDS, TheoremCheck
 from oracles import count_lattice_classes, djsd_lti_r, reflexive_rows
 from test_enumeration import EXPECTED_LATTICE_COUNTS, EXPECTED_TIRS_COUNTS
@@ -159,3 +159,25 @@ def test_the_definitional_pairs_are_enumerated_once_per_lattice(monkeypatch):
     checks = {c.id: c for c in ld.verify_theorems(max_n=6)}
     assert checks["PROP_2_2"].passed and checks["THM_3_2"].passed
     assert len(calls) == len(set(map(id, calls))) == checks["THM_3_2"].checked == 25
+
+
+def test_the_maximal_pairs_are_found_once_per_lattice(monkeypatch):
+    """Every lattice the campaign meets, from the catalog or as a map
+    lattice, has its MDFIPs computed once, though the pair list, the
+    dual digraph, labc and uabc all ask for them."""
+    runs = []
+
+    def counting(L):
+        runs.append(L)
+        return compute(L)
+
+    compute = duality._maximal_pairs
+    monkeypatch.setattr(duality, "_maximal_pairs", counting)
+    for L in ld.enumerate_lattices(6).entries:
+        # catalog lattices are shared, and earlier callers may have filled this
+        vars(L).pop("_mdfips", None)
+    checks = {c.id: c for c in ld.verify_theorems(max_n=6)}
+    assert len(runs) == len(set(map(id, runs)))
+    # 25 catalog lattices, the map lattices of 41 catalog digraphs, and
+    # those of the 23 digraphs of the THM_4_10 scan
+    assert len(runs) == checks["THM_4_10"].checked == 89
