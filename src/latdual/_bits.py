@@ -25,6 +25,17 @@ def mask(xs):
     return out
 
 
+def json_pairs(items, key):
+    """The pairs of a relation as read from JSON: a list of two-integer
+    lists, returned as tuples. Any other shape raises ValueError."""
+    if not isinstance(items, list):
+        raise ValueError(f'"{key}" must be a list of pairs')
+    for p in items:
+        if not (isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)):
+            raise ValueError(f'"{key}" entry {p!r} is not a pair of integers')
+    return tuple(tuple(p) for p in items)
+
+
 def transpose(rows):
     """The converse relation: bit i of row j is set iff bit j of row i is."""
     cols = [0] * len(rows)

@@ -30,18 +30,20 @@ def _load_lattice(path):
     return lattice_from_json(_load_json(path))
 
 
-def _load_digraph(path):
-    G, added = digraph_from_json(_load_json(path))
+def _digraph(obj):
+    G, added = digraph_from_json(obj)
     if added:
         print("warning: missing loops were added to the digraph", file=sys.stderr)
     return G
 
 
-def _sniff(obj):
+def _load_either(path):
+    """("lattice", L) or ("digraph", G), told apart by their keys."""
+    obj = _load_json(path)
     if isinstance(obj, dict) and "covers" in obj:
-        return "lattice"
+        return "lattice", lattice_from_json(obj)
     if isinstance(obj, dict) and "arcs" in obj:
-        return "digraph"
+        return "digraph", _digraph(obj)
     raise ValueError('cannot tell lattice from digraph: need "covers" or "arcs"')
 
 
@@ -56,7 +58,7 @@ def _cmd_dual(args):
 
 
 def _cmd_primal(args):
-    G = _load_digraph(args.file)
+    G = _digraph(_load_json(args.file))
     L = mpe_lattice(G)
     if args.dot:
         sys.stdout.write(lattice_to_dot(L))
@@ -66,15 +68,9 @@ def _cmd_primal(args):
 
 
 def _cmd_check(args):
-    obj = _load_json(args.file)
-    kind = _sniff(obj)
-    if kind == "lattice":
-        report = check_lattice_property(args.property, lattice_from_json(obj))
-    else:
-        G, added = digraph_from_json(obj)
-        if added:
-            print("warning: missing loops were added to the digraph", file=sys.stderr)
-        report = check_digraph_property(args.property, G)
+    kind, x = _load_either(args.file)
+    check = check_lattice_property if kind == "lattice" else check_digraph_property
+    report = check(args.property, x)
     print(
         json.dumps(
             {
@@ -89,15 +85,8 @@ def _cmd_check(args):
 
 
 def _cmd_roundtrip(args):
-    obj = _load_json(args.file)
-    kind = _sniff(obj)
-    if kind == "lattice":
-        ok = roundtrip_lattice(lattice_from_json(obj))
-    else:
-        G, added = digraph_from_json(obj)
-        if added:
-            print("warning: missing loops were added to the digraph", file=sys.stderr)
-        ok = roundtrip_digraph(G)
+    kind, x = _load_either(args.file)
+    ok = (roundtrip_lattice if kind == "lattice" else roundtrip_digraph)(x)
     print(json.dumps({"kind": kind, "roundtrip": ok}))
     return 0 if ok else 1
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _canon
-from ._bits import bits, transpose
+from ._bits import bits, json_pairs, transpose
 from .errors import NotReflexive
 
 
@@ -61,10 +61,6 @@ class Digraph:
 
     def has_arc(self, x, y):
         return bool(self.rows[x] >> y & 1)
-
-    @property
-    def is_reflexive(self):
-        return all(self.rows[x] >> x & 1 for x in range(self.v))
 
     @cached_property
     def arcs(self):
@@ -346,8 +342,10 @@ def digraph_from_json(obj):
     if not isinstance(obj, dict) or "v" not in obj or "arcs" not in obj:
         raise ValueError('digraph JSON needs keys "v" and "arcs"')
     v = obj["v"]
+    if type(v) is not int or v < 0:
+        raise ValueError(f'"v" must be a non-negative integer, not {v!r}')
     rows = [0] * v
-    for x, y in obj["arcs"]:
+    for x, y in json_pairs(obj["arcs"], "arcs"):
         if not (0 <= x < v and 0 <= y < v):
             raise ValueError(f"arc ({x}, {y}) is out of range")
         rows[x] |= 1 << y
@@ -357,7 +355,7 @@ def digraph_from_json(obj):
     mdfips = None
     names = None
     if obj.get("mdfips"):
-        mdfips = tuple(tuple(p) for p in obj["mdfips"])
+        mdfips = json_pairs(obj["mdfips"], "mdfips")
         if len(mdfips) != v:
             raise ValueError("mdfips annotation length does not match v")
         names = tuple(f"{a}{b}" if a < 10 and b < 10 else f"{a},{b}" for a, b in mdfips)

@@ -128,41 +128,38 @@ class PartialTwoMap:
         if self.ones & self.zeros:
             raise ValueError("ones and zeros overlap")
 
-    def defined(self):
-        return self.ones | self.zeros
+
+def _one_sets(G):
+    """The one-sets of the maximal maps of G, as masks. They are found on
+    the first call for a digraph and kept on it as a tuple."""
+    sets = vars(G).get("_one_sets")
+    if sets is None:
+        sets = G._one_sets = _next_closure(G)
+    return sets
 
 
-def _closure_maps(rows, cols, v):
-    """ones-mask -> zeros-mask helpers for arc-preserving maximal maps.
+def _next_closure(G):
+    """Lectic NextClosure over the one-sets of the maximal maps.
 
-    For a fixed one-set U the largest legal zero-set is
+    For a one-set U the largest legal zero-set is
     Z(U) = {z : no arc from U into z}, and symmetrically
     U(Z) = {u : no arc from u into Z}. Maximal maps are exactly the
     pairs fixed by the round trip, so their one-sets are the closed
     sets of U -> U(Z(U)).
     """
+    rows, cols, v = G.rows, G.cols, G.v
 
-    def zmax(u):
-        m = 0
+    def close(u):
+        zm = 0
         for z in range(v):
             if cols[z] & u == 0:
-                m |= 1 << z
-        return m
-
-    def umax(zm):
+                zm |= 1 << z
         m = 0
         for x in range(v):
             if rows[x] & zm == 0:
                 m |= 1 << x
         return m
 
-    return zmax, umax
-
-
-def _closed_one_sets(rows, cols, v):
-    # lectic next-closure enumeration of the fixpoints of umax(zmax(.))
-    zmax, umax = _closure_maps(rows, cols, v)
-    close = lambda u: umax(zmax(u))
     sets = []
     a = close(0)
     while True:
@@ -171,30 +168,31 @@ def _closed_one_sets(rows, cols, v):
             raise BoundTooLarge(
                 f"the map lattice has more than {MAX_MAP_LATTICE_N} elements"
             )
-        nxt = None
         for i in range(v - 1, -1, -1):
             if a >> i & 1:
                 continue
             below = a & ((1 << i) - 1)
             b = close(below | 1 << i)
             if b & ((1 << i) - 1) & ~below == 0:
-                nxt = b
+                a = b
                 break
-        if nxt is None:
-            return sets, zmax
-        a = nxt
+        else:
+            return tuple(sets)
 
 
 def mpe_enumerate(G):
     """All maximal arc-preserving partial maps V -> {0, 1}, sorted.
 
     Sorted by (one-set mask, zero-set mask); distinct maps always differ
-    in their one-set, so the order is total.
+    in their one-set, so the order is total. The zero-set of a one-set U
+    is the largest legal one, Z(U) in ``_next_closure``.
     """
-    ones_sets, zmax = _closed_one_sets(G.rows, G.cols, G.v)
+    cols, v = G.cols, G.v
     return [
-        PartialTwoMap(frozenset(bits(u)), frozenset(bits(zmax(u))))
-        for u in sorted(ones_sets)
+        PartialTwoMap(
+            frozenset(bits(u)), frozenset(z for z in range(v) if cols[z] & u == 0)
+        )
+        for u in sorted(_one_sets(G))
     ]
 
 
@@ -206,8 +204,7 @@ def mpe_lattice(G):
     The one-sets are the closed sets of a closure operator, so they pass
     the intersection-closure check of ``FiniteLattice.of_sets``.
     """
-    ones_sets, _ = _closed_one_sets(G.rows, G.cols, G.v)
-    masks = sorted(ones_sets, key=lambda m: (m.bit_count(), m))
+    masks = sorted(_one_sets(G), key=lambda m: (m.bit_count(), m))
     try:
         return FiniteLattice.of_sets(masks)
     except NotALattice as exc:

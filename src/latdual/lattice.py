@@ -29,6 +29,7 @@ from ._bits import (
     bits,
     inclusion,
     intersection_closed,
+    json_pairs,
     permute,
     transpose,
     unclosed_pair,
@@ -394,9 +395,13 @@ def lattice_from_json(obj):
     if not isinstance(obj, dict) or "n" not in obj or "covers" not in obj:
         raise ValueError('lattice JSON needs keys "n" and "covers"')
     n = obj["n"]
-    covers = [tuple(c) for c in obj["covers"]]
+    if type(n) is not int or n < 1:
+        raise ValueError(f'"n" must be a positive integer, not {n!r}')
+    covers = json_pairs(obj["covers"], "covers")
     labels = None
-    if "labels" in obj and obj["labels"] is not None:
+    if obj.get("labels") is not None:
+        if not isinstance(obj["labels"], dict):
+            raise ValueError('"labels" must be an object from elements to names')
         raw = {int(k): str(v) for k, v in obj["labels"].items()}
         labels = tuple(raw.get(i, str(i)) for i in range(n))
     return from_covers(n, covers, labels)

@@ -1,11 +1,18 @@
 """Exhaustive verification of the duality statements over small catalogs.
 
-Each registry record pairs an identifier with a predicate quantified over
+Each registry record pairs an identifier with a statement quantified over
 every lattice in the catalog, every axiom-passing digraph in the digraph
 catalog, or both. A record fails by producing counterexamples, never by
-raising. One-directional implications also collect non-converse
-witnesses: cases where the conclusion holds but a hypothesis fails,
-demonstrating that the implication cannot be reversed.
+raising.
+
+Most statements are equivalences or implications between named lattice
+laws and digraph conditions; their records are data (``iff`` or
+``implies``), checked by one evaluator, ``TheoremRecord.flag_check``.
+On the digraph catalog an equivalence is read right to left. Every
+implication also collects non-converse witnesses over the lattice
+catalog: cases where the conclusions hold but a hypothesis fails, which
+show that the implication cannot be reversed there. The other
+statements compute something of their own and carry bespoke checks.
 
 The bespoke checks read the order as bitmask rows rather than through
 ``leq`` and ``meet``/``join`` calls: one comparison is ``up[a] >> b & 1``,
@@ -19,7 +26,7 @@ built once and shared by every statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 from ._bits import bits, mask
@@ -75,6 +82,9 @@ class _Case:
             self._flags[name] = bool(rep)
         return self._flags[name]
 
+    def holds(self, names):
+        return all(self.flag(n) for n in names)
+
 
 class LatticeCase(_Case):
     """One catalog lattice and its dual digraph."""
@@ -117,12 +127,47 @@ class DigraphCase(_Case):
 
 @dataclass(frozen=True)
 class TheoremRecord:
+    """One statement of the paper and how the campaign checks it.
+
+    A flag statement is data. ``iff=(left, right)`` says that the flags
+    named in ``left`` all hold iff those in ``right`` all hold;
+    ``implies=(hyps, concs)`` says that ``hyps`` force ``concs``. A flag
+    is a lattice law of the case's lattice or a digraph condition of its
+    digraph. Every record runs over the lattice catalog, and with
+    ``digraphs`` (or a ``digraph_check``) over the digraph catalog too,
+    where an equivalence is read right to left, so that a failure lists
+    the digraph conditions first. Every implication also collects
+    non-converse witnesses over the lattice cases: conclusions hold, a
+    hypothesis fails.
+
+    A bespoke statement gives ``lattice_check``/``digraph_check``, each
+    mapping one case to (ok, detail), and ``extra_check``, returning
+    (checked, counterexamples) over a scan of its own. A side with its
+    own check reads no flags.
+    """
+
     id: str
     statement: str
+    iff: tuple = None
+    implies: tuple = None
+    digraphs: bool = False
     lattice_check: object = None
     digraph_check: object = None
     extra_check: object = None
-    nonconverse: object = None
+
+    def flag_check(self, case, reverse=False):
+        """The flag statement on one case; ``reverse`` reads an
+        equivalence right to left. A failure's detail gives every flag
+        of the statement, in the order read."""
+        if self.iff:
+            left, right = self.iff[::-1] if reverse else self.iff
+            ok = case.holds(left) == case.holds(right)
+        else:
+            left, right = self.implies
+            ok = not case.holds(left) or case.holds(right)
+        if ok:
+            return True, None
+        return False, {"flags": {n: case.flag(n) for n in left + right}}
 
 
 @dataclass
@@ -134,39 +179,6 @@ class TheoremCheck:
     checked: int
     counterexamples: list = field(default_factory=list)
     non_converse_witnesses: list = field(default_factory=list)
-
-
-def _flags_detail(case, names):
-    return {"flags": {n: case.flag(n) for n in names}}
-
-
-def _implication(hyps, concs):
-    def chk(case):
-        if all(case.flag(h) for h in hyps) and not all(case.flag(c) for c in concs):
-            return False, _flags_detail(case, hyps + concs)
-        return True, None
-
-    return chk
-
-
-def _equivalence(left, right):
-    def chk(case):
-        a = all(case.flag(x) for x in left)
-        b = all(case.flag(x) for x in right)
-        if a != b:
-            return False, _flags_detail(case, left + right)
-        return True, None
-
-    return chk
-
-
-def _nonconverse(hyps, concs):
-    def chk(case):
-        return all(case.flag(c) for c in concs) and not all(
-            case.flag(h) for h in hyps
-        )
-
-    return chk
 
 
 # -- bespoke per-statement checks ---------------------------------------
@@ -462,104 +474,103 @@ REGISTRY = (
         "THM_3_8",
         "the irreducible-restricted lower semimodular law holds iff every "
         "disjoint irreducible pair extends upward to a maximal pair",
-        lattice_check=_equivalence(("jmlsm",), ("labc",)),
+        iff=(("jmlsm",), ("labc",)),
     ),
     TheoremRecord(
         "THM_3_10",
         "upward extendability of disjoint irreducible pairs holds iff the "
         "dual digraph satisfies the lower interpolation axiom",
-        lattice_check=_equivalence(("labc",), ("lti",)),
+        iff=(("labc",), ("lti",)),
     ),
     TheoremRecord(
         "PROP_3_12",
         "downward extendability of disjoint irreducible pairs holds iff "
         "the irreducible-restricted upper semimodular law holds",
-        lattice_check=_equivalence(("uabc",), ("jmusm",)),
+        iff=(("uabc",), ("jmusm",)),
     ),
     TheoremRecord(
         "THM_3_13",
         "the irreducible-restricted lower semimodular law corresponds to "
         "lower interpolation in the dual, in both directions of the "
         "duality",
-        lattice_check=_equivalence(("jmlsm",), ("lti",)),
-        digraph_check=_equivalence(("lti",), ("jmlsm",)),
+        iff=(("jmlsm",), ("lti",)),
+        digraphs=True,
     ),
     TheoremRecord(
         "THM_3_15",
         "the irreducible-restricted upper semimodular law corresponds to "
         "upper interpolation in the dual, in both directions of the "
         "duality",
-        lattice_check=_equivalence(("jmusm",), ("uti",)),
-        digraph_check=_equivalence(("uti",), ("jmusm",)),
+        iff=(("jmusm",), ("uti",)),
+        digraphs=True,
     ),
     TheoremRecord(
         "THM_4_1",
         "meet distributivity is equivalent to join semidistributivity "
         "plus lower semimodularity",
-        lattice_check=_equivalence(("md",), ("jsd", "lsm")),
+        iff=(("md",), ("jsd", "lsm")),
     ),
     TheoremRecord(
         "THM_4_2",
         "the irreducible-restricted lower semimodular law plus the "
         "irreducible-restricted join semidistributive law imply lower "
         "semimodularity",
-        lattice_check=_implication(("jmlsm", "wjsd"), ("lsm",)),
-        nonconverse=_nonconverse(("jmlsm", "wjsd"), ("lsm",)),
+        implies=(("jmlsm", "wjsd"), ("lsm",)),
     ),
     TheoremRecord(
         "COR_4_5",
         "meet distributivity is equivalent to join semidistributivity "
         "plus the irreducible-restricted lower semimodular law",
-        lattice_check=_equivalence(("md",), ("jmlsm", "jsd")),
+        iff=(("md",), ("jmlsm", "jsd")),
     ),
     TheoremRecord(
         "THM_4_6_I",
         "join semidistributivity corresponds to pairwise distinct in-sets "
         "in the dual, in both directions",
-        lattice_check=_equivalence(("jsd",), ("djsd",)),
-        digraph_check=_equivalence(("djsd",), ("jsd",)),
+        iff=(("jsd",), ("djsd",)),
+        digraphs=True,
     ),
     TheoremRecord(
         "THM_4_6_II",
         "meet semidistributivity corresponds to pairwise distinct "
         "out-sets in the dual, in both directions",
-        lattice_check=_equivalence(("msd",), ("dmsd",)),
-        digraph_check=_equivalence(("dmsd",), ("msd",)),
+        iff=(("msd",), ("dmsd",)),
+        digraphs=True,
     ),
     TheoremRecord(
         "THM_4_6_III",
         "semidistributivity corresponds to pairwise distinct in-sets and "
         "out-sets in the dual, in both directions",
-        lattice_check=_equivalence(("sd",), ("dsd",)),
-        digraph_check=_equivalence(("dsd",), ("sd",)),
+        iff=(("sd",), ("dsd",)),
+        digraphs=True,
     ),
     TheoremRecord(
         "THM_4_7",
         "distinct out-sets plus lower interpolation force a transitive "
         "arc relation",
-        lattice_check=_implication(("dmsd", "lti"), ("trans",)),
-        digraph_check=_implication(("dmsd", "lti"), ("trans",)),
+        implies=(("dmsd", "lti"), ("trans",)),
+        digraphs=True,
     ),
     TheoremRecord(
         "PROP_4_8",
         "a transitive axiom-passing digraph is a partial order",
-        lattice_check=_implication(("trans",), ("poset",)),
-        digraph_check=_implication(("trans",), ("poset",)),
+        implies=(("trans",), ("poset",)),
+        digraphs=True,
     ),
     TheoremRecord(
         "COR_4_9",
         "meet semidistributivity plus the irreducible-restricted lower "
         "semimodular law imply distributivity",
-        lattice_check=_implication(("msd", "jmlsm"), ("dist",)),
-        nonconverse=_nonconverse(("msd", "jmlsm"), ("dist",)),
+        implies=(("msd", "jmlsm"), ("dist",)),
     ),
     TheoremRecord(
         "THM_4_10",
         "a reflexive digraph is the dual of a meet distributive lattice "
         "iff it has distinct in-sets, the reduction axiom and lower "
         "interpolation",
+        iff=(("md",), ("djsd", "lti")),
+        digraphs=True,
         lattice_check=_thm_4_10_lattice,
-        digraph_check=_equivalence(("djsd", "lti"), ("md",)),
         extra_check=_thm_4_10_scan,
     ),
     TheoremRecord(
@@ -580,28 +591,24 @@ REGISTRY = (
         "PROP_5_2_A",
         "a dual digraph without induced two-arc-path or single-arc "
         "triples forces lower semimodularity",
-        lattice_check=_implication(("fis",), ("lsm",)),
-        nonconverse=_nonconverse(("fis",), ("lsm",)),
+        implies=(("fis",), ("lsm",)),
     ),
     TheoremRecord(
         "PROP_5_2_B",
         "a dual digraph without induced two-arc-path or single-arc "
         "triples forces upper semimodularity",
-        lattice_check=_implication(("fis",), ("usm",)),
-        nonconverse=_nonconverse(("fis",), ("usm",)),
+        implies=(("fis",), ("usm",)),
     ),
     TheoremRecord(
         "THM_5_3",
         "a dual digraph without induced two-arc-path or single-arc "
         "triples forces modularity",
-        lattice_check=_implication(("fis",), ("mod",)),
-        nonconverse=_nonconverse(("fis",), ("mod",)),
+        implies=(("fis",), ("mod",)),
     ),
     TheoremRecord(
         "COR_5_6",
         "both weak transitivity conditions on the dual force modularity",
-        lattice_check=_implication(("wt0", "wt1"), ("mod",)),
-        nonconverse=_nonconverse(("wt0", "wt1"), ("mod",)),
+        implies=(("wt0", "wt1"), ("mod",)),
     ),
 )
 
@@ -622,25 +629,17 @@ def verify_theorems(max_n=7):
     gcases = [DigraphCase(G) for G in digs]
     out = []
     for rec in REGISTRY:
+        sides = [(f"lattices(n<={max_n})", lcases, rec.lattice_check or rec.flag_check)]
+        if rec.digraphs or rec.digraph_check:
+            check = rec.digraph_check or partial(rec.flag_check, reverse=True)
+            sides.append((f"digraphs(v<={max_v})", gcases, check))
+        domains = [domain for domain, _, _ in sides]
         checked = 0
         cexs = []
-        ncw = []
-        domains = []
-        if rec.lattice_check:
-            domains.append(f"lattices(n<={max_n})")
-            for case in lcases:
-                checked += 1
-                ok, detail = rec.lattice_check(case)
-                if not ok:
-                    item = case.describe()
-                    if detail is not None:
-                        item["detail"] = detail
-                    cexs.append(item)
-        if rec.digraph_check:
-            domains.append(f"digraphs(v<={max_v})")
-            for case in gcases:
-                checked += 1
-                ok, detail = rec.digraph_check(case)
+        for _, cases, check in sides:
+            checked += len(cases)
+            for case in cases:
+                ok, detail = check(case)
                 if not ok:
                     item = case.describe()
                     if detail is not None:
@@ -651,10 +650,10 @@ def verify_theorems(max_n=7):
             extra_checked, extra_cexs = rec.extra_check()
             checked += extra_checked
             cexs.extend(extra_cexs)
-        if rec.nonconverse:
-            for case in lcases:
-                if rec.nonconverse(case):
-                    ncw.append(case.describe())
+        ncw = []
+        if rec.implies:
+            hyps, concs = rec.implies
+            ncw = [c.describe() for c in lcases if c.holds(concs) and not c.holds(hyps)]
         out.append(
             TheoremCheck(
                 id=rec.id,

@@ -92,8 +92,9 @@ def test_check_unknown_property(tmp_path, capsys):
 
 def test_missing_loops_warn_on_stderr(tmp_path, capsys):
     f = digraph_file(tmp_path, {"v": 2, "arcs": [[0, 1]]})
-    assert main(["check", "tirs", f]) in (0, 1)
-    assert "missing loops" in capsys.readouterr().err
+    for argv in (["check", "tirs", f], ["roundtrip", f], ["primal", f]):
+        assert main(argv) in (0, 1)
+        assert "missing loops" in capsys.readouterr().err, argv
 
 
 def test_roundtrip_lattice(tmp_path, capsys):
@@ -187,6 +188,36 @@ def test_unsniffable_payload(tmp_path, capsys):
     f = digraph_file(tmp_path, {"verts": 2})
     assert main(["roundtrip", f]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obj", [
+    {"v": "3", "arcs": []},
+    {"v": -2, "arcs": []},
+    {"v": True, "arcs": []},
+    {"v": 2, "arcs": 5},
+    {"v": 2, "arcs": [[0, 1.0]]},
+    {"v": 2, "arcs": [[0, 1, 1]]},
+    {"v": 2, "arcs": [7]},
+    {"v": 2, "arcs": [], "mdfips": 5},
+    {"n": "3", "covers": []},
+    {"n": 0, "covers": []},
+    {"n": 3, "covers": 7},
+    {"n": 2, "covers": [[0, "1"]]},
+    {"n": 1, "covers": [], "labels": ["a"]},
+])
+def test_malformed_payload_is_an_input_error(tmp_path, capsys, obj):
+    f = digraph_file(tmp_path, obj)
+    for argv in (["roundtrip", f], ["check", "mod" if "n" in obj else "tirs", f]):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
+
+
+def test_the_empty_digraph_is_the_dual_of_the_one_element_lattice(tmp_path, capsys):
+    f = digraph_file(tmp_path, {"v": 0, "arcs": []})
+    assert main(["roundtrip", f]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "digraph", "roundtrip": True}
+    assert main(["primal", f]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 1
 
 
 def _console_script(name):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import latdual as ld
-from latdual import duality, theorems
+from latdual import duality, properties, theorems
 from latdual.theorems import REGISTRY, REGISTRY_IDS, TheoremCheck
 from oracles import count_lattice_classes, djsd_lti_r, reflexive_rows
 from test_enumeration import EXPECTED_LATTICE_COUNTS, EXPECTED_TIRS_COUNTS
@@ -181,3 +181,85 @@ def test_the_maximal_pairs_are_found_once_per_lattice(monkeypatch):
     # 25 catalog lattices, the map lattices of 41 catalog digraphs, and
     # those of the 23 digraphs of the THM_4_10 scan
     assert len(runs) == checks["THM_4_10"].checked == 89
+
+
+def test_the_map_one_sets_are_swept_once_per_digraph(monkeypatch):
+    """Every digraph the campaign meets, a lattice's dual or from a
+    catalog, has its NextClosure sweep run once, though its maps
+    (PLOSCICA_LEMMA) and its map lattice (THM_2_6) both read it."""
+    runs = []
+
+    def counting(G):
+        runs.append(G)
+        return sweep(G)
+
+    sweep = duality._next_closure
+    monkeypatch.setattr(duality, "_next_closure", counting)
+    for G in ld.enumerate_tirs_digraphs(4):
+        # catalog digraphs are shared, and earlier callers may have filled this
+        vars(G).pop("_one_sets", None)
+    checks = {c.id: c for c in ld.verify_theorems(max_n=6)}
+    assert len(runs) == len(set(map(id, runs)))
+    # the duals of 25 catalog lattices, 41 catalog digraphs, and the 23
+    # digraphs of the THM_4_10 scan
+    assert len(runs) == checks["PLOSCICA_LEMMA"].checked + 23 == 89
+
+
+def _runs(details):
+    """Run-length form of a detail list: [count, detail as JSON] per run,
+    so the order of the flags inside a detail counts."""
+    out = []
+    for d in details:
+        s = json.dumps(d)
+        if out and out[-1][1] == s:
+            out[-1][0] += 1
+        else:
+            out.append([1, s])
+    return out
+
+
+# the records that fail at bound 4 with jsd and lti read as always false,
+# with their counterexample details in run-length form: lattice cases
+# first, then digraph cases, where an equivalence reads right to left
+FORCED_FAILURES_AT_4 = {
+    "THM_3_10": [[5, '{"flags": {"labc": true, "lti": false}}']],
+    "THM_3_13": [[5, '{"flags": {"jmlsm": true, "lti": false}}'],
+                 [25, '{"flags": {"lti": false, "jmlsm": true}}']],
+    "THM_4_1": [[5, '{"flags": {"md": true, "jsd": false, "lsm": true}}']],
+    "COR_4_5": [[5, '{"flags": {"md": true, "jmlsm": true, "jsd": false}}']],
+    "THM_4_6_I": [[5, '{"flags": {"jsd": false, "djsd": true}}'],
+                  [40, '{"flags": {"djsd": true, "jsd": false}}']],
+    "THM_4_10": [[5, '{"md": true, "djsd_r_lti": false}'],
+                 [25, '{"flags": {"djsd": true, "lti": false, "md": true}}']],
+}
+
+
+def test_flag_statements_report_their_failures(monkeypatch):
+    """With two deciders forced false the flag statements that read them
+    fail, each with its pinned counterexamples; an evaluator that always
+    passes, or that reorders the flags, does not get through."""
+    no = lambda name: lambda x: ld.PropertyReport(name, False)
+    monkeypatch.setitem(properties.LATTICE_CHECKS, "jsd", no("jsd"))
+    monkeypatch.setitem(properties.DIGRAPH_CHECKS, "lti", no("lti"))
+    checks = ld.verify_theorems(max_n=4)
+    failed = {c.id: c for c in checks if not c.passed}
+    assert list(failed) == list(FORCED_FAILURES_AT_4)
+    for rid, want in FORCED_FAILURES_AT_4.items():
+        cexs = failed[rid].counterexamples
+        assert len(cexs) == sum(n for n, _ in want), rid
+        assert _runs([c.get("detail") for c in cexs]) == want, rid
+
+
+def test_no_flag_statement_is_vacuous():
+    """Each side of every equivalence and implication holds on some case
+    and fails on some case, in every catalog its record runs on."""
+    lcases = [theorems.LatticeCase(L) for L in ld.enumerate_lattices(6).entries]
+    gcases = [theorems.DigraphCase(G) for G in ld.enumerate_tirs_digraphs(4)]
+    flagged = [r for r in REGISTRY if r.iff or r.implies]
+    assert len(flagged) == 19
+    for rec in flagged:
+        catalogs = [lcases] + ([gcases] if rec.digraphs else [])
+        for cases in catalogs:
+            for side in rec.iff or rec.implies:
+                truth = {case.holds(side) for case in cases}
+                assert truth == {True, False}, (rec.id, side)
