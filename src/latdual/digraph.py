@@ -4,12 +4,18 @@ The interesting digraphs here are reflexive. Axiom checkers scan in
 lexicographic vertex order and report the first witness they meet, so
 failures are reproducible. ``out_set``/``in_set`` give the neighbourhood
 sets that the separation and interpolation axioms quantify over.
+
+Dual conditions share one scan, told which sets to compare: separation,
+djsd and dmsd look for twins by out-set and in-set, in-set, or out-set;
+interpolation, lti and uti for an interpolating vertex; wt0 and wt1 for
+a weakly transitive triple; fis and find_induced for induced patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from . import _canon
 from ._bits import bits, json_pairs, transpose
@@ -97,12 +103,18 @@ def _require_reflexive(G):
             raise NotReflexive(f"vertex {x} has no loop")
 
 
-def _separation_witness(G):
-    """Distinct vertices differ in out-set or in-set."""
-    rows, cols = G.rows, G.cols
-    for x in range(G.v):
+def _report(name, witness):
+    return PropertyReport(name, witness is None, witness)
+
+
+def _twin_witness(G, by_out=True, by_in=True):
+    """The first pair x < y whose out-sets (if by_out) and in-sets (if
+    by_in) are both equal. With both compared, separation fails there:
+    distinct vertices must differ in out-set or in-set."""
+    keys = [(r if by_out else 0, c if by_in else 0) for r, c in zip(G.rows, G.cols)]
+    for x, key in enumerate(keys):
         for y in range(x + 1, G.v):
-            if rows[x] == rows[y] and cols[x] == cols[y]:
+            if keys[y] == key:
                 return (x, y)
     return None
 
@@ -120,14 +132,19 @@ def _reduction_witness(G):
     return None
 
 
-def _interpolation_witness(G):
-    """Every arc (x, y) admits z with out(z) a subset of out(x) and in(z)
-    a subset of in(y)."""
+def _interpolation_witness(G, same_out=False, same_in=False):
+    """The first arc (x, y) admitting no z with out(z) inside out(x) and
+    in(z) inside in(y): a failure of interpolation. same_out asks for
+    out(z) = out(x) instead (lower interpolation), same_in for
+    in(z) = in(y) (upper interpolation)."""
     rows, cols = G.rows, G.cols
     for x in range(G.v):
-        for y in bits(rows[x]):
+        rx = rows[x]
+        for y in bits(rx):
+            cy = cols[y]
             if not any(
-                rows[z] & ~rows[x] == 0 and cols[z] & ~cols[y] == 0
+                (rows[z] == rx if same_out else not rows[z] & ~rx)
+                and (cols[z] == cy if same_in else not cols[z] & ~cy)
                 for z in range(G.v)
             ):
                 return (x, y)
@@ -142,7 +159,7 @@ def check_tirs(G):
     """
     _require_reflexive(G)
     for axiom, find in (
-        ("s", _separation_witness),
+        ("s", _twin_witness),
         ("r", _reduction_witness),
         ("ti", _interpolation_witness),
     ):
@@ -154,53 +171,26 @@ def check_tirs(G):
 
 def check_lti(G):
     """Every arc (u, v) admits w with out(w) = out(u) and in(w) inside in(v)."""
-    rows, cols = G.rows, G.cols
-    for u in range(G.v):
-        for v_ in bits(rows[u]):
-            if not any(
-                rows[w] == rows[u] and cols[w] & ~cols[v_] == 0
-                for w in range(G.v)
-            ):
-                return PropertyReport("lti", False, (u, v_))
-    return PropertyReport("lti", True)
+    return _report("lti", _interpolation_witness(G, same_out=True))
 
 
 def check_uti(G):
     """Every arc (u, v) admits w with out(w) inside out(u) and in(w) = in(v)."""
-    rows, cols = G.rows, G.cols
-    for u in range(G.v):
-        for v_ in bits(rows[u]):
-            if not any(
-                rows[w] & ~rows[u] == 0 and cols[w] == cols[v_]
-                for w in range(G.v)
-            ):
-                return PropertyReport("uti", False, (u, v_))
-    return PropertyReport("uti", True)
+    return _report("uti", _interpolation_witness(G, same_in=True))
 
 
 def check_djsd(G):
     """Distinct vertices have distinct in-sets."""
-    for x in range(G.v):
-        for y in range(x + 1, G.v):
-            if G.cols[x] == G.cols[y]:
-                return PropertyReport("djsd", False, (x, y))
-    return PropertyReport("djsd", True)
+    return _report("djsd", _twin_witness(G, by_out=False))
 
 
 def check_dmsd(G):
     """Distinct vertices have distinct out-sets."""
-    for x in range(G.v):
-        for y in range(x + 1, G.v):
-            if G.rows[x] == G.rows[y]:
-                return PropertyReport("dmsd", False, (x, y))
-    return PropertyReport("dmsd", True)
+    return _report("dmsd", _twin_witness(G, by_in=False))
 
 
 def check_dsd(G):
-    r = check_djsd(G)
-    if r:
-        r = check_dmsd(G)
-    return PropertyReport("dsd", r.holds, r.witness)
+    return _report("dsd", _twin_witness(G, by_out=False) or _twin_witness(G, by_in=False))
 
 
 def is_transitive(G):
@@ -260,57 +250,47 @@ def _classify_triple(G, x, y, z):
     return None
 
 
+def _induced_triples(G, kinds):
+    # (kind, (x, y, z)) for the triples x < y < z inducing a pattern in kinds
+    for t in combinations(range(G.v), 3):
+        kind = _classify_triple(G, *t)
+        if kind in kinds:
+            yield kind, t
+
+
 def find_induced(G, pattern):
     """All vertex triples inducing the pattern, sorted, as (x, y, z) with x < y < z."""
     want = pattern.id if isinstance(pattern, ForbiddenPattern) else str(pattern)
-    out = []
-    for x in range(G.v):
-        for y in range(x + 1, G.v):
-            for z in range(y + 1, G.v):
-                if _classify_triple(G, x, y, z) == want:
-                    out.append((x, y, z))
-    return out
+    return [t for _, t in _induced_triples(G, (want,))]
 
 
 def check_fis(G):
     """No induced two-arc path triple and no induced single-arc triple."""
+    return _report("fis", next(_induced_triples(G, ("G0", "G1")), None))
+
+
+def _weak_transitivity_witness(G, path):
+    """The first (x, y, z) with an arc x -> y but none back, z linked to x
+    by no arc, and y -> z an arc with none back (path) or y and z linked
+    by no arc (not path)."""
+    rows, cols, full = G.rows, G.cols, (1 << G.v) - 1
     for x in range(G.v):
-        for y in range(x + 1, G.v):
-            for z in range(y + 1, G.v):
-                kind = _classify_triple(G, x, y, z)
-                if kind in ("G0", "G1"):
-                    return PropertyReport("fis", False, (kind, (x, y, z)))
-    return PropertyReport("fis", True)
+        apart = full & ~(rows[x] | cols[x])
+        for y in bits(rows[x] & ~cols[x]):
+            zs = apart & (rows[y] & ~cols[y] if path else ~(rows[y] | cols[y]))
+            if zs:
+                return (x, y, next(bits(zs)))
+    return None
 
 
 def check_wt0(G):
     """Arcs x->y->z with no back-arcs force an arc between x and z."""
-    rows = G.rows
-    for x in range(G.v):
-        for y in range(G.v):
-            if not rows[x] >> y & 1 or rows[y] >> x & 1:
-                continue
-            for z in range(G.v):
-                if not rows[y] >> z & 1 or rows[z] >> y & 1:
-                    continue
-                if not rows[x] >> z & 1 and not rows[z] >> x & 1:
-                    return PropertyReport("wt0", False, (x, y, z))
-    return PropertyReport("wt0", True)
+    return _report("wt0", _weak_transitivity_witness(G, path=True))
 
 
 def check_wt1(G):
     """An arc x->y with y otherwise isolated from z forces an arc between x and z."""
-    rows = G.rows
-    for x in range(G.v):
-        for y in range(G.v):
-            if not rows[x] >> y & 1 or rows[y] >> x & 1 or x == y:
-                continue
-            for z in range(G.v):
-                if rows[y] >> z & 1 or rows[z] >> y & 1:
-                    continue
-                if not rows[x] >> z & 1 and not rows[z] >> x & 1:
-                    return PropertyReport("wt1", False, (x, y, z))
-    return PropertyReport("wt1", True)
+    return _report("wt1", _weak_transitivity_witness(G, path=False))
 
 
 def digraph_isomorphic(G1, G2):
@@ -344,14 +324,9 @@ def digraph_from_json(obj):
     v = obj["v"]
     if type(v) is not int or v < 0:
         raise ValueError(f'"v" must be a non-negative integer, not {v!r}')
-    rows = [0] * v
-    for x, y in json_pairs(obj["arcs"], "arcs"):
-        if not (0 <= x < v and 0 <= y < v):
-            raise ValueError(f"arc ({x}, {y}) is out of range")
-        rows[x] |= 1 << y
+    rows = Digraph.from_arcs(v, json_pairs(obj["arcs"], "arcs")).rows
     added = any(not rows[x] >> x & 1 for x in range(v))
-    for x in range(v):
-        rows[x] |= 1 << x
+    rows = [row | 1 << x for x, row in enumerate(rows)]
     mdfips = None
     names = None
     if obj.get("mdfips"):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits
+from ._bits import bits, mask
 from .digraph import Digraph
 from .errors import BoundTooLarge, NotALattice, NotDisjoint
 from .lattice import FiniteLattice, join_irreducibles, meet_irreducibles
@@ -97,9 +97,7 @@ def dual_digraph(L):
 
 def t_set(L, a, b):
     """Meet irreducibles above b that avoid a."""
-    return frozenset(
-        m for m in meet_irreducibles(L) if L.leq(b, m) and not L.leq(a, m)
-    )
+    return frozenset(bits(mask(meet_irreducibles(L)) & L.up[b] & ~L.up[a]))
 
 
 def maximal_extensions(L, a, b):
@@ -108,13 +106,10 @@ def maximal_extensions(L, a, b):
     The pair (a, b) must be disjoint, i.e. a not below b; every disjoint
     pair extends to at least one MDFIP.
     """
-    if L.leq(a, b):
+    up, down = L.up, L.down
+    if up[a] >> b & 1:
         raise NotDisjoint(f"{a} <= {b}, so filter and ideal overlap")
-    return [
-        (a2, b2)
-        for a2, b2 in mdfips(L)
-        if L.leq(a2, a) and L.leq(b, b2)
-    ]
+    return [(a2, b2) for a2, b2 in mdfips(L) if down[a] >> a2 & 1 and up[b] >> b2 & 1]
 
 
 @dataclass(frozen=True)

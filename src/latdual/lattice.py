@@ -402,8 +402,11 @@ def lattice_from_json(obj):
     if obj.get("labels") is not None:
         if not isinstance(obj["labels"], dict):
             raise ValueError('"labels" must be an object from elements to names')
-        raw = {int(k): str(v) for k, v in obj["labels"].items()}
-        labels = tuple(raw.get(i, str(i)) for i in range(n))
+        names = obj["labels"]
+        stray = sorted(set(names) - {str(i) for i in range(n)})
+        if stray:
+            raise ValueError(f'"labels" key {stray[0]!r} is not an element 0..{n - 1}')
+        labels = tuple(str(names.get(str(i), i)) for i in range(n))
     return from_covers(n, covers, labels)
 
 

@@ -21,6 +21,10 @@ raised rather than a verdict. Modularity is that scan alone, with c
 running over the up-set of a. The other laws keep their definitional
 scans; md decides dist by cancellation on the interval below each
 element, read from the tables of the whole lattice.
+
+Each dual pair of laws has one scan, told which side to decide: jsd and
+msd, usm and lsm (the tables and the cover direction swapped), jmlsm and
+jmusm, labc and uabc.
 """
 
 from __future__ import annotations
@@ -37,33 +41,51 @@ def _no_witness(name):
     return RuntimeError(f"{name} failed its quadratic check, yet the scan found no witness")
 
 
+def _semimodular(name, rows, other, above, below):
+    """rows[a][b] covered by a forces b covered by other[a][b], where x is
+    covered by y iff above[x] & below[y] is exactly {x, y}.
+
+    With the meet and join tables and the up and down rows this is upper
+    semimodularity; with both pairs swapped, covers read downward, it is
+    lower semimodularity.
+    """
+    def covered(x, y):
+        return x != y and above[x] & below[y] == 1 << x | 1 << y
+
+    for a, (ra, oa) in enumerate(zip(rows, other)):
+        for b in range(len(rows)):
+            if covered(ra[b], a) and not covered(b, oa[b]):
+                return PropertyReport(name, False, (a, b))
+    return PropertyReport(name, True)
+
+
 def is_usm(L):
     """Upper semimodular: a^b covered by a forces b covered by a|b."""
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.is_cover(L.meet(a, b), a) and not L.is_cover(b, L.join(a, b)):
-                return PropertyReport("usm", False, (a, b))
-    return PropertyReport("usm", True)
+    return _semimodular("usm", L._meet, L._join, L.up, L.down)
 
 
 def is_lsm(L):
     """Lower semimodular: a covered by a|b forces a^b covered by b."""
-    for a in range(L.n):
-        for b in range(L.n):
-            if L.is_cover(a, L.join(a, b)) and not L.is_cover(L.meet(a, b), b):
-                return PropertyReport("lsm", False, (a, b))
-    return PropertyReport("lsm", True)
+    return _semimodular("lsm", L._join, L._meet, L.down, L.up)
 
 
 def _jm_cover_pairs(L):
-    """(a, b, b covered by a|b, a^b covered by a) for every join
+    """(a, b, (b covered by a|b, a^b covered by a)) for every join
     irreducible a and meet irreducible b, read off the meet and join
     tables."""
     mi = meet_irreducibles(L)
     for a in join_irreducibles(L):
         ma, ja = L._meet[a], L._join[a]
         for b in mi:
-            yield a, b, L.is_cover(b, ja[b]), L.is_cover(ma[b], a)
+            yield a, b, (L.is_cover(b, ja[b]), L.is_cover(ma[b], a))
+
+
+def _jm_semimodular(name, L, side):
+    # side 0: the first cover forces the second (jmlsm); side 1: the converse
+    for a, b, covered in _jm_cover_pairs(L):
+        if covered[side] and not covered[1 - side]:
+            return PropertyReport(name, False, (a, b))
+    return PropertyReport(name, True)
 
 
 def is_jm_lsm(L):
@@ -72,19 +94,13 @@ def is_jm_lsm(L):
     For a join irreducible and b meet irreducible: b covered by a|b
     forces a^b covered by a.
     """
-    for a, b, upper, lower in _jm_cover_pairs(L):
-        if upper and not lower:
-            return PropertyReport("jmlsm", False, (a, b))
-    return PropertyReport("jmlsm", True)
+    return _jm_semimodular("jmlsm", L, 0)
 
 
 def is_jm_usm(L):
     """For a join irreducible and b meet irreducible: a^b covered by a
     forces b covered by a|b."""
-    for a, b, upper, lower in _jm_cover_pairs(L):
-        if lower and not upper:
-            return PropertyReport("jmusm", False, (a, b))
-    return PropertyReport("jmusm", True)
+    return _jm_semimodular("jmusm", L, 1)
 
 
 def is_modular(L):
@@ -176,13 +192,20 @@ def is_wjsd(L):
     return PropertyReport("wjsd", True)
 
 
-def _irreducible_disjoint_pairs(L):
-    # (a, b) for a join irreducible and b meet irreducible, a not below b
-    up, mi = L.up, meet_irreducibles(L)
+def _extends_to_mdfip(name, L, side):
+    """For a join irreducible and b meet irreducible with a not below b,
+    (a, b)[side] stays in some MDFIP whose other member lies above b
+    (side 0) or below a (side 1)."""
+    partners = [0] * L.n  # partners[x]: the other members of the MDFIPs holding x at side
+    for pair in mdfips(L):
+        partners[pair[side]] |= 1 << pair[1 - side]
+    cone, up, mi = (L.up, L.down)[side], L.up, meet_irreducibles(L)
     for a in join_irreducibles(L):
         for b in mi:
-            if not up[a] >> b & 1:
-                yield a, b
+            pair = (a, b)
+            if not up[a] >> b & 1 and not cone[pair[1 - side]] & partners[pair[side]]:
+                return PropertyReport(name, False, pair)
+    return PropertyReport(name, True)
 
 
 def satisfies_labc(L):
@@ -191,24 +214,12 @@ def satisfies_labc(L):
     For a join irreducible and b meet irreducible with a not below b,
     some c >= b makes (a, c) an MDFIP.
     """
-    ideals = [0] * L.n  # ideals[a]: the c with (a, c) an MDFIP
-    for a, c in mdfips(L):
-        ideals[a] |= 1 << c
-    for a, b in _irreducible_disjoint_pairs(L):
-        if not L.up[b] & ideals[a]:
-            return PropertyReport("labc", False, (a, b))
-    return PropertyReport("labc", True)
+    return _extends_to_mdfip("labc", L, 0)
 
 
 def satisfies_uabc(L):
     """Dual extension: some c <= a makes (c, b) an MDFIP."""
-    filters = [0] * L.n  # filters[b]: the c with (c, b) an MDFIP
-    for c, b in mdfips(L):
-        filters[b] |= 1 << c
-    for a, b in _irreducible_disjoint_pairs(L):
-        if not L.down[a] & filters[b]:
-            return PropertyReport("uabc", False, (a, b))
-    return PropertyReport("uabc", True)
+    return _extends_to_mdfip("uabc", L, 1)
 
 
 def is_meet_distributive(L):

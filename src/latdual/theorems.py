@@ -31,23 +31,8 @@ from itertools import product
 
 from ._bits import bits, mask
 from .convexity import cld_lattice, is_zero_closure, lattice_to_convex_geometry, satisfies_aep
-from .digraph import (
-    Digraph,
-    _reduction_witness,
-    check_djsd,
-    check_lti,
-    check_tirs,
-    digraph_isomorphic,
-    digraph_to_json,
-)
-from .duality import (
-    dual_digraph,
-    mdfips,
-    mdfips_bruteforce,
-    mpe_enumerate,
-    mpe_lattice,
-    roundtrip_digraph,
-)
+from .digraph import Digraph, _reduction_witness, check_tirs, digraph_isomorphic, digraph_to_json
+from .duality import dual_digraph, mdfips, mdfips_bruteforce, mpe_enumerate, mpe_lattice
 from .enumeration import _reflexive_row_options, enumerate_lattices, enumerate_tirs_digraphs
 from .errors import UnknownProperty
 from .lattice import (
@@ -57,7 +42,7 @@ from .lattice import (
     lattice_to_json,
     meet_irreducibles,
 )
-from .properties import DIGRAPH_CHECKS, LATTICE_CHECKS, check_lattice_property
+from .properties import DIGRAPH_CHECKS, LATTICE_CHECKS, _jm_cover_pairs
 
 
 class _Case:
@@ -257,14 +242,12 @@ def _lem_3_1(case):
 
 def _thm_3_2(case):
     # the characterisation itself, against the definitional enumeration
-    L = case.lattice
-    up, mi = L.up, meet_irreducibles(L)
-    fast = []
-    for a in join_irreducibles(L):
-        ja, ma = L._join[a], L._meet[a]
-        for b in mi:
-            if not up[a] >> b & 1 and L.is_cover(b, ja[b]) and L.is_cover(ma[b], a):
-                fast.append((a, b))
+    up = case.lattice.up
+    fast = [
+        (a, b)
+        for a, b, covered in _jm_cover_pairs(case.lattice)
+        if not up[a] >> b & 1 and all(covered)
+    ]
     slow = case.pairs_by_definition
     if fast == slow:
         return True, None
@@ -341,23 +324,21 @@ def _lem_5_1(case):
         for x in xs:
             for y in ys:
                 for w in ws:
+                    i, j, k = idx[x], idx[y], idx[w]
                     if len({x, y, w}) != 3:
+                        fault = {"reason": "not distinct"}
+                    else:
+                        # of the six arcs among distinct i, j, k, only
+                        # (i, j) and (j, k) are allowed
+                        bad = [(p, q) for p, q in ((j, i), (i, k), (k, i), (k, j))
+                               if rows[p] >> q & 1]
+                        fault = bad and {"arc": [list(pairs[q]) for q in bad[0]]}
+                    if fault:
                         return False, {
                             "pentagon": [z0, a, b, c, o],
                             "triple": [list(x), list(y), list(w)],
-                            "reason": "not distinct",
+                            **fault,
                         }
-                    i, j, k = idx[x], idx[y], idx[w]
-                    allowed = {(i, j), (j, k)}
-                    for p, q in (
-                        (i, j), (j, i), (i, k), (k, i), (j, k), (k, j),
-                    ):
-                        if rows[p] >> q & 1 and (p, q) not in allowed:
-                            return False, {
-                                "pentagon": [z0, a, b, c, o],
-                                "triple": [list(x), list(y), list(w)],
-                                "arc": [list(pairs[p]), list(pairs[q])],
-                            }
     return True, None
 
 
@@ -376,16 +357,13 @@ def _thm_4_10_scan():
     cexs = []
     for v in range(1, 4):
         for rows in product(*_reflexive_row_options(v)):
-            G = Digraph(rows)
-            if not (check_djsd(G) and check_lti(G) and _reduction_witness(G) is None):
+            case = DigraphCase(Digraph(rows))
+            G = case.digraph
+            if not (case.flag("djsd") and case.flag("lti") and _reduction_witness(G) is None):
                 continue
             checked += 1
-            ok = (
-                check_tirs(G)
-                and bool(check_lattice_property("md", mpe_lattice(G)))
-                and roundtrip_digraph(G)
-            )
-            if not ok:
+            # md and the round trip read the one map lattice of the case
+            if not (case.flag("tirs") and case.flag("md") and _thm_2_6_digraph(case)[0]):
                 cexs.append({"digraph": digraph_to_json(G), "detail": None})
     return checked, cexs
 

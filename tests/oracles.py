@@ -4,8 +4,9 @@ Everything here is deliberately naive: full permutation scans for
 isomorphism, raw upper-triangular relation enumeration for lattice
 counting, a sweep of every reflexive digraph for the TiRS classes, a
 complete 3^v sweep and a pruned three-way scan for maximal partial map
-enumeration, and triple scans of the defining identities for the lattice
-laws. The package must agree with these on every small case.
+enumeration, triple scans of the defining identities for the lattice
+laws, and first-witness scans of the digraph conditions on out- and
+in-sets. The package must agree with these on every small case.
 
 The statement checks and the helpers they call are also kept here in
 their earlier form, reading the order through ``leq``, ``meet`` and
@@ -263,6 +264,110 @@ def djsd_lti_r(rows):
     return len(set(inn)) == v and lti and reduction(rows)
 
 
+# First witnesses of the digraph deciders, by their definitions on the
+# same sets. Each returns what the decider reports on failure, scanning
+# in the decider's order (vertices, then out-neighbours, increasing), or
+# None when the condition holds.
+
+
+def _first_twin(sets):
+    v = len(sets)
+    return next(((x, y) for x in range(v) for y in range(x + 1, v) if sets[x] == sets[y]), None)
+
+
+def djsd_witness(rows):
+    """Two distinct vertices with the same in-set."""
+    return _first_twin(_out_in(rows)[1])
+
+
+def dmsd_witness(rows):
+    """Two distinct vertices with the same out-set."""
+    return _first_twin(_out_in(rows)[0])
+
+
+def dsd_witness(rows):
+    return djsd_witness(rows) or dmsd_witness(rows)
+
+
+def _arc_without(rows, found):
+    """The first arc x -> y with no z satisfying found(out, inn, x, y, z)."""
+    out, inn = _out_in(rows)
+    v = len(rows)
+    for x in range(v):
+        for y in sorted(out[x]):
+            if not any(found(out, inn, x, y, z) for z in range(v)):
+                return (x, y)
+    return None
+
+
+def lti_witness(rows):
+    """An arc u -> w with no z having out(z) = out(u) and in(z) inside in(w)."""
+    return _arc_without(rows, lambda out, inn, u, w, z: out[z] == out[u] and inn[z] <= inn[w])
+
+
+def uti_witness(rows):
+    """An arc u -> w with no z having out(z) inside out(u) and in(z) = in(w)."""
+    return _arc_without(rows, lambda out, inn, u, w, z: out[z] <= out[u] and inn[z] == inn[w])
+
+
+def tirs_witness(rows):
+    """(axiom, pair) for the first of separation, reduction and
+    interpolation that fails, as check_tirs reports it."""
+    out, inn = _out_in(rows)
+    twins = _first_twin(list(zip(out, inn)))
+    if twins:
+        return ("s", twins)
+    for x in range(len(rows)):
+        for y in sorted(out[x] - {x}):
+            if out[x] < out[y] or inn[y] < inn[x]:
+                return ("r", (x, y))
+    w = _arc_without(rows, lambda out, inn, x, y, z: out[z] <= out[x] and inn[z] <= inn[y])
+    return ("ti", w) if w else None
+
+
+def _strict_arc(out, x, y):
+    # an arc x -> y without the arc back
+    return y in out[x] and x not in out[y]
+
+
+def _linked(out, x, z):
+    return z in out[x] or x in out[z]
+
+
+def wt0_witness(rows):
+    """x -> y -> z, no arc back along either, and no arc between x and z."""
+    out = _out_in(rows)[0]
+    return next(
+        ((x, y, z) for x, y, z in product(range(len(rows)), repeat=3)
+         if _strict_arc(out, x, y) and _strict_arc(out, y, z) and not _linked(out, x, z)),
+        None,
+    )
+
+
+def wt1_witness(rows):
+    """x -> y with x != y and no arc back, z linked to neither y nor x."""
+    out = _out_in(rows)[0]
+    return next(
+        ((x, y, z) for x, y, z in product(range(len(rows)), repeat=3)
+         if x != y and _strict_arc(out, x, y)
+         and not _linked(out, y, z) and not _linked(out, x, z)),
+        None,
+    )
+
+
+def fis_witness(rows):
+    """The first triple x < y < z whose non-loop arcs are exactly one arc
+    ("G1") or a directed path through all three vertices ("G0")."""
+    out = _out_in(rows)[0]
+    for t in combinations(range(len(rows)), 3):
+        arcs = [(p, q) for p in t for q in t if p != q and q in out[p]]
+        if len(arcs) == 1:
+            return ("G1", t)
+        if len(arcs) == 2 and any(q1 == p2 and p1 != q2 for (p1, q1), (p2, q2) in permutations(arcs)):
+            return ("G0", t)
+    return None
+
+
 def tirs_classes(v):
     """One representative, the least relabelling, of each isomorphism
     class of TiRS digraphs on v vertices."""
@@ -343,6 +448,36 @@ def mpe_enumerate_scan(G):
 # Lattice laws by their definitions, using only L.meet and L.join (x <= y
 # is read as x^y = x). Each returns the first failing tuple in
 # lexicographic order, or None when the law holds.
+
+
+def _cover_set(L):
+    """The pairs (x, y) with y covering x."""
+    n = L.n
+    lt = [[x != y and L.meet(x, y) == x for y in range(n)] for x in range(n)]
+    return {
+        (x, y) for x in range(n) for y in range(n)
+        if lt[x][y] and not any(lt[x][z] and lt[z][y] for z in range(n))
+    }
+
+
+def usm_witness(L):
+    """a^b covered by a while b is not covered by a|b."""
+    cov = _cover_set(L)
+    for a in range(L.n):
+        for b in range(L.n):
+            if (L.meet(a, b), a) in cov and (b, L.join(a, b)) not in cov:
+                return (a, b)
+    return None
+
+
+def lsm_witness(L):
+    """a covered by a|b while a^b is not covered by b."""
+    cov = _cover_set(L)
+    for a in range(L.n):
+        for b in range(L.n):
+            if (a, L.join(a, b)) in cov and (L.meet(a, b), b) not in cov:
+                return (a, b)
+    return None
 
 
 def jsd_witness(L):

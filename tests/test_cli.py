@@ -204,10 +204,16 @@ def test_unsniffable_payload(tmp_path, capsys):
     {"n": 3, "covers": 7},
     {"n": 2, "covers": [[0, "1"]]},
     {"n": 1, "covers": [], "labels": ["a"]},
+    {"n": 3, "covers": [[0, 1], [1, 2]], "labels": {"7": "x"}},
+    {"n": 3, "covers": [[0, 1], [1, 2]], "labels": {"-1": "x"}},
+    {"n": 3, "covers": [[0, 1], [1, 2]], "labels": {"1": "a", "0_1": "b"}},
 ])
 def test_malformed_payload_is_an_input_error(tmp_path, capsys, obj):
     f = digraph_file(tmp_path, obj)
-    for argv in (["roundtrip", f], ["check", "mod" if "n" in obj else "tirs", f]):
+    argvs = [["roundtrip", f], ["check", "mod" if "n" in obj else "tirs", f]]
+    if "n" in obj:
+        argvs.append(["dual", f])
+    for argv in argvs:
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
 

@@ -170,6 +170,30 @@ def test_small_duals_appear_in_tirs_catalog(catalog5, tirs5):
         ), L.n
 
 
+def test_catalogs_match_both_ways_through_the_duality(tirs5):
+    """Up to isomorphism, lattices and TiRS digraphs correspond one to one
+    (THM_2_6). So per (vertices, elements), the duals of the lattices with
+    at most 9 elements are, class for class, the catalog digraphs on up to
+    5 vertices whose map lattice has at most 9 elements. The one-element
+    lattice is left out: its dual has no vertex, and the digraph catalog
+    starts at one vertex."""
+    duals = [
+        (G.v, L.n, ld.digraph_canonical_key(G))
+        for L in ld.enumerate_lattices(9).entries
+        for G in [ld.dual_digraph(L)]
+        if 1 <= G.v <= 5
+    ]
+    maps = [
+        (G.v, M.n, ld.digraph_canonical_key(G))
+        for G in tirs5
+        for M in [ld.mpe_lattice(G)]
+        if M.n <= 9
+    ]
+    assert len(duals) == len(set(duals)) == 145
+    assert len(maps) == len(set(maps)) == 145
+    assert set(duals) == set(maps)
+
+
 def test_every_small_tirs_digraph_reconstructs(tirs4):
     seen = set()
     for G in tirs4:

@@ -227,14 +227,34 @@ def test_unknown_names_raise():
         ld.check_digraph_property("usm", ld.dual_digraph(ld.fixture("B2")))
 
 
-# the deciders that read the row tables directly, and those built on them
+# every lattice decider, against the first witness of its definitional scan
 WITNESS_ORACLES = {
+    "usm": oracles.usm_witness,
+    "lsm": oracles.lsm_witness,
     "jsd": oracles.jsd_witness,
     "msd": oracles.msd_witness,
     "sd": oracles.sd_witness,
     "dist": oracles.dist_witness,
     "mod": oracles.mod_witness,
     "md": oracles.md_witness,
+    "wjsd": oracles.wjsd_witness,
+    "jmlsm": oracles.jmlsm_witness,
+    "jmusm": oracles.jmusm_witness,
+    "labc": oracles.labc_witness,
+    "uabc": oracles.uabc_witness,
+}
+
+# the digraph deciders other than trans and poset, likewise
+DIGRAPH_WITNESS_ORACLES = {
+    "tirs": oracles.tirs_witness,
+    "lti": oracles.lti_witness,
+    "uti": oracles.uti_witness,
+    "djsd": oracles.djsd_witness,
+    "dmsd": oracles.dmsd_witness,
+    "dsd": oracles.dsd_witness,
+    "fis": oracles.fis_witness,
+    "wt0": oracles.wt0_witness,
+    "wt1": oracles.wt1_witness,
 }
 
 
@@ -293,3 +313,46 @@ def set_lattices(draw):
 @given(set_lattices())
 def test_deciders_match_oracles_on_drawn_lattices(L):
     _assert_reports_match_oracles(L, L.up)
+
+
+def _assert_digraph_reports_match_oracles(G, label):
+    """Verdict and witness of each digraph decider equal the oracle's."""
+    verdicts = {}
+    for prop, oracle in DIGRAPH_WITNESS_ORACLES.items():
+        w = oracle(G.rows)
+        assert ld.check_digraph_property(prop, G) == PropertyReport(prop, w is None, w), \
+            (label, prop)
+        verdicts[prop] = w is None
+    return verdicts
+
+
+def test_digraph_deciders_match_oracles_on_tirs_catalog_and_reverses(tirs5):
+    seen = set()
+    for i, G in enumerate(tirs5):
+        for label, H in ((i, G), (f"reverse {i}", G.reverse())):
+            seen |= set(_assert_digraph_reports_match_oracles(H, label).items())
+    # TiRS is closed under reversal; every other condition holds and fails
+    every = {(p, v) for p in DIGRAPH_WITNESS_ORACLES for v in (True, False)}
+    assert seen == every - {("tirs", False)}
+
+
+def test_digraph_deciders_match_oracles_on_every_small_digraph():
+    seen = set()
+    for v in (1, 2, 3):
+        for rows in oracles.reflexive_rows(v):
+            seen |= set(_assert_digraph_reports_match_oracles(ld.Digraph(rows), rows).items())
+    assert ("tirs", False) in seen
+
+
+@st.composite
+def reflexive_digraphs(draw):
+    """A reflexive digraph on up to 7 vertices."""
+    v = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.integers(0, (1 << v) - 1), min_size=v, max_size=v))
+    return ld.Digraph([row | 1 << x for x, row in enumerate(rows)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflexive_digraphs())
+def test_digraph_deciders_match_oracles_on_drawn_digraphs(G):
+    _assert_digraph_reports_match_oracles(G, G.rows)

@@ -5,6 +5,7 @@ import pytest
 
 import latdual as ld
 from latdual import duality, properties, theorems
+from latdual.lattice import FiniteLattice
 from latdual.theorems import REGISTRY, REGISTRY_IDS, TheoremCheck
 from oracles import count_lattice_classes, djsd_lti_r, reflexive_rows
 from test_enumeration import EXPECTED_LATTICE_COUNTS, EXPECTED_TIRS_COUNTS
@@ -203,6 +204,22 @@ def test_the_map_one_sets_are_swept_once_per_digraph(monkeypatch):
     # the duals of 25 catalog lattices, 41 catalog digraphs, and the 23
     # digraphs of the THM_4_10 scan
     assert len(runs) == checks["PLOSCICA_LEMMA"].checked + 23 == 89
+
+
+def test_the_scan_builds_one_map_lattice_per_digraph(monkeypatch):
+    """The THM_4_10 scan reads md and the round trip off one map lattice
+    per scanned digraph."""
+    built = []
+
+    def counting(cls, masks, labels=None):
+        built.append(tuple(masks))
+        return of_sets(cls, masks, labels)
+
+    of_sets = FiniteLattice.of_sets.__func__
+    monkeypatch.setattr(FiniteLattice, "of_sets", classmethod(counting))
+    checked, cexs = theorems._thm_4_10_scan()
+    assert (checked, cexs) == (23, [])
+    assert len(built) == 23
 
 
 def _runs(details):
