@@ -34,7 +34,7 @@ class ClosureSystem:
         if self.ground < 0:
             raise ValueError("ground size must be nonnegative")
         full = (1 << self.ground) - 1
-        masks = sorted(set(int(m) for m in closed), key=lambda m: (bin(m).count("1"), m))
+        masks = sorted(set(int(m) for m in closed), key=lambda m: (m.bit_count(), m))
         for m in masks:
             if m & ~full:
                 raise ValueError(f"closed set {sorted(bits(m))} leaves the ground set")
@@ -124,7 +124,8 @@ def cld_lattice(C):
 
 
 def lattice_to_convex_geometry(L):
-    """Closed sets are the join irreducibles below each element.
+    """Closed sets are the join irreducibles below each element, read off
+    its down row.
 
     Only defined for meet distributive lattices; anything else raises
     NotMeetDistributive naming an element whose lower interval fails.
@@ -136,9 +137,8 @@ def lattice_to_convex_geometry(L):
         )
     ji = join_irreducibles(L)
     pos = {j: i for i, j in enumerate(ji)}
-    closed = set()
-    for x in range(L.n):
-        closed.add(mask(pos[j] for j in ji if L.leq(j, x)))
+    irreducible = mask(ji)
+    closed = {mask(pos[j] for j in bits(row & irreducible)) for row in L.down}
     return ClosureSystem(len(ji), closed)
 
 

@@ -138,7 +138,7 @@ class FiniteLattice:
     def _build_tables(self):
         n = self.n
         up_row = {self.up[i]: i for i in range(n)}
-        down_row = {self.down[i]: i for i in range(n)}
+        down_row = self._down_index
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for a in range(n):
@@ -162,6 +162,12 @@ class FiniteLattice:
     def _join(self):
         self._meet, join = self._build_tables()
         return join
+
+    @cached_property
+    def _down_index(self):
+        # element by its down row: the meet of a set is the element whose
+        # down row is the AND of theirs
+        return {row: i for i, row in enumerate(self.down)}
 
     @cached_property
     def bottom(self):
@@ -191,8 +197,13 @@ class FiniteLattice:
         return tuple((a, b) for a, row in enumerate(self._upper) for b in bits(row))
 
     @cached_property
+    def _lower(self):
+        # the lower cover rows: bit j of row i is set iff i covers j
+        return transpose(self._upper)
+
+    @cached_property
     def _cover_lists(self):
-        sides = (transpose(self._upper), self._upper)
+        sides = (self._lower, self._upper)
         return tuple(tuple(tuple(bits(row)) for row in rows) for rows in sides)
 
     @cached_property
@@ -212,7 +223,7 @@ class FiniteLattice:
     @cached_property
     def heights(self):
         # length of a longest chain from the bottom up to each element
-        order = sorted(range(self.n), key=lambda i: bin(self.down[i]).count("1"))
+        order = sorted(range(self.n), key=lambda i: self.down[i].bit_count())
         h = [0] * self.n
         for x in order:
             for c in self.lower_covers(x):
@@ -289,13 +300,18 @@ def meet_irreducibles(L):
 
 
 def mu(L, a):
-    """Meet of all lower covers of a. Undefined at the bottom element."""
-    if a == L.bottom:
+    """Meet of all lower covers of a. Undefined at the bottom element.
+
+    Read off the down rows: the meet is the element whose down row is
+    the AND of the lower covers' down rows, so no table is built.
+    """
+    covers = L.lower_covers(a)
+    if not covers:
         raise NoLowerCovers(f"element {a} is the bottom and has no lower covers")
-    out = None
-    for c in L.lower_covers(a):
-        out = c if out is None else L.meet(out, c)
-    return out
+    row = L.down[covers[0]]
+    for c in covers[1:]:
+        row &= L.down[c]
+    return L._down_index[row]
 
 
 def interval(L, a, b):

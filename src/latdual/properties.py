@@ -17,10 +17,14 @@ reformulations of their definitions:
 
 Only when one of these fails does the lexicographic scan of the defining
 identity run, to find the witness; if it finds none, RuntimeError is
-raised rather than a verdict. Modularity is that scan alone, with c
-running over the up-set of a. The other laws keep their definitional
-scans; md decides dist by cancellation on the interval below each
-element, read from the tables of the whole lattice.
+raised rather than a verdict. Modularity has no such test: its decider
+is the scan of the identity, over only the triples where the law can
+fail, b incomparable to a and c above a incomparable to b (is_modular
+gives the four other cases). usm and lsm read "x is covered by y" as
+one bit of a cover row. md builds no table: each interval [mu(a), a] is
+distributive iff it is Boolean, which its order rows decide
+(is_meet_distributive gives the lemma). The other laws keep their
+definitional scans.
 
 Each dual pair of laws has one scan, told which side to decide: jsd and
 msd, usm and lsm (the tables and the cover direction swapped), jmlsm and
@@ -41,32 +45,31 @@ def _no_witness(name):
     return RuntimeError(f"{name} failed its quadratic check, yet the scan found no witness")
 
 
-def _semimodular(name, rows, other, above, below):
-    """rows[a][b] covered by a forces b covered by other[a][b], where x is
-    covered by y iff above[x] & below[y] is exactly {x, y}.
+def _semimodular(name, rows, other, into, onto):
+    """rows[a][b] covered by a forces b covered by other[a][b]; x covered
+    by a is one bit of the cover row into[a], b covered by y one bit of
+    onto[b].
 
-    With the meet and join tables and the up and down rows this is upper
-    semimodularity; with both pairs swapped, covers read downward, it is
-    lower semimodularity.
+    With the meet and join tables, into the lower cover rows and onto
+    the upper ones, this is upper semimodularity; with both pairs
+    swapped, covers read downward, it is lower semimodularity.
     """
-    def covered(x, y):
-        return x != y and above[x] & below[y] == 1 << x | 1 << y
-
     for a, (ra, oa) in enumerate(zip(rows, other)):
-        for b in range(len(rows)):
-            if covered(ra[b], a) and not covered(b, oa[b]):
+        covered = into[a]
+        for b, (x, y) in enumerate(zip(ra, oa)):
+            if covered >> x & 1 and not onto[b] >> y & 1:
                 return PropertyReport(name, False, (a, b))
     return PropertyReport(name, True)
 
 
 def is_usm(L):
     """Upper semimodular: a^b covered by a forces b covered by a|b."""
-    return _semimodular("usm", L._meet, L._join, L.up, L.down)
+    return _semimodular("usm", L._meet, L._join, L._lower, L._upper)
 
 
 def is_lsm(L):
     """Lower semimodular: a covered by a|b forces a^b covered by b."""
-    return _semimodular("lsm", L._join, L._meet, L.down, L.up)
+    return _semimodular("lsm", L._join, L._meet, L._upper, L._lower)
 
 
 def _jm_cover_pairs(L):
@@ -104,13 +107,23 @@ def is_jm_usm(L):
 
 
 def is_modular(L):
-    """a <= c forces a|(b^c) = (a|b)^c; c runs over the up-set of a."""
-    meet, join, up = L._meet, L._join, L.up
+    """a <= c forces a|(b^c) = (a|b)^c.
+
+    Only b incomparable to a, and c above a incomparable to b, are
+    scanned; every other triple with a <= c satisfies the law, so the
+    first failing triple is the first of the full scan. The four cases:
+    - b <= a: both sides are a (b^c = b and a|b = a).
+    - a <= b: both sides are b^c (a <= b^c, and a|b = b).
+    - c <= b: both sides are c (b^c = c, a|c = c, and c <= a|b).
+    - b <= c: both sides are a|b (b^c = b, and a|b <= c).
+    """
+    meet, join, up, down = L._meet, L._join, L.up, L.down
+    full = (1 << L.n) - 1
     for a in range(L.n):
-        ja = join[a]
-        for b in range(L.n):
+        ja, above = join[a], up[a]
+        for b in bits(full & ~(above | down[a])):
             mb, m_ab = meet[b], meet[ja[b]]
-            for c in bits(up[a]):
+            for c in bits(above & ~(up[b] | down[b])):
                 if ja[mb[c]] != m_ab[c]:
                     return PropertyReport("mod", False, (a, b, c))
     return PropertyReport("mod", True)
@@ -223,18 +236,48 @@ def satisfies_uabc(L):
 
 
 def is_meet_distributive(L):
-    """Each interval from the meet of lower covers of a up to a is
-    distributive; the bottom element is exempt. Decided by the
-    cancellation law of is_distributive on the tables of L, restricted
-    to the interval (a sublattice)."""
-    meet, join = L._meet, L._join
+    """Each interval [mu(a), a], mu(a) the meet of the lower covers of a,
+    is distributive; the bottom element is exempt. Witness: (a,).
+
+    Decided on the order rows alone, with no meet or join table. Let
+    p_1..p_c be the lower covers of a and P(x) the set of p_i above x.
+    Lemma: [mu(a), a] is distributive iff it has 2^c elements and, for
+    all x and y in it, x <= y exactly when P(y) is inside P(x).
+
+    The p_i are the coatoms of the interval and meet in its bottom.
+    If: P is then an order embedding of the interval into the subsets
+    of {p_1..p_c}, reversed, and onto as both sides have 2^c elements;
+    so the interval is Boolean, hence distributive. Only if: in a
+    distributive lattice every meet irreducible q is meet prime, so
+    q >= p_1 ^ ... ^ p_c puts q above some p_i, and q = p_i as q is not
+    the top. Every x is the meet of the meet irreducibles above it,
+    x = ^P(x), so P(y) inside P(x) gives x <= y. Each p_j is meet
+    prime and the p_i are pairwise incomparable, so ^S is below no p_j
+    outside S: the 2^c subsets S of coatoms have 2^c distinct meets.
+
+    Per x the test is one row equation: the y above x are the members
+    of the interval below no p_i outside P(x). That is c row operations
+    per member instead of a table lookup per pair of members.
+    """
+    up, down = L.up, L.down
     for a in range(L.n):
-        if a == L.bottom:
+        covers = L.lower_covers(a)
+        if not covers:
             continue
-        seg = tuple(bits(L.up[mu(L, a)] & L.down[a]))
-        for x in seg:
-            if len({(meet[x][y], join[x][y]) for y in seg}) != len(seg):
-                return PropertyReport("md", False, (a,))
+        seg = up[mu(L, a)] & down[a]
+        boolean = seg.bit_count() == 1 << len(covers)
+        if boolean:
+            coatoms = [(1 << p, down[p]) for p in covers]
+            for x in bits(seg):
+                ux, outside = up[x], 0
+                for bit, row in coatoms:
+                    if not ux & bit:
+                        outside |= row
+                if ux & seg != seg & ~outside:
+                    boolean = False
+                    break
+        if not boolean:
+            return PropertyReport("md", False, (a,))
     return PropertyReport("md", True)
 
 

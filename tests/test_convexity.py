@@ -168,6 +168,21 @@ def test_geometry_roundtrip_for_all_small_targets(catalog6):
         assert ok
 
 
+def test_geometry_is_the_join_irreducibles_below_each_element(catalog7, convex95):
+    lattices = [L for L in catalog7.entries if ld.check_lattice_property("md", L)]
+    for L in lattices + [convex95]:
+        L = ld.FiniteLattice(L.up)
+        ji = ld.join_irreducibles(L)
+        C = lattice_to_convex_geometry(L)
+        assert "_meet" not in vars(L) and "_join" not in vars(L)
+        expected = {
+            sum(1 << i for i, j in enumerate(ji) if L.leq(j, x)) for x in range(L.n)
+        }
+        assert C == ClosureSystem(len(ji), expected)
+        assert len(C.closed) == L.n
+    assert len(lattices) == 22  # meet-distributive classes with n <= 7
+
+
 def test_json_roundtrip():
     for C in (powerset_system(3), interval_system(4),
               lattice_to_convex_geometry(ld.fixture("L4D"))):

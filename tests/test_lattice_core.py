@@ -90,6 +90,18 @@ def test_mu_examples():
         ld.mu(N5, 0)
 
 
+def test_mu_is_the_meet_of_the_lower_covers(catalog6):
+    for L in catalog6.entries:
+        for a in range(L.n):
+            if a == L.bottom:
+                continue
+            covers = L.lower_covers(a)
+            m = covers[0]
+            for c in covers[1:]:
+                m = L.meet(m, c)
+            assert ld.mu(L, a) == m
+
+
 def test_interval_of_pentagon_is_chain():
     N5 = ld.fixture("N5")
     I = ld.interval(N5, 3, 4)

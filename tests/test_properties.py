@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import latdual as ld
 import oracles
 from latdual.convexity import ClosureSystem, cld_lattice
+from latdual.fixtures import chain
 from latdual.lattice import interval, join_irreducibles, meet_irreducibles, mu, order_dual
 from latdual.properties import LATTICE_CHECKS, DIGRAPH_CHECKS, PropertyReport
 
@@ -291,6 +292,77 @@ def test_deciders_match_oracles_on_convex_geometry(convex95):
     # meet-distributive, so the jsd and md checks run to the end
     assert verdicts["jsd"] and verdicts["md"]
     assert not verdicts["dist"]
+
+
+def lattice_product(L, M):
+    """The product order, element (x, y) being x * M.n + y."""
+    return ld.FiniteLattice([
+        sum(1 << i * M.n + j for i in oracles.bits(L.up[x]) for j in oracles.bits(M.up[y]))
+        for x in range(L.n) for y in range(M.n)
+    ])
+
+
+def chain_product(*sizes):
+    L = chain(1)
+    for k in sizes:
+        L = lattice_product(L, chain(k))
+    return L
+
+
+# Boolean lattices 2^k, products of chains, and products of a chain with
+# a lattice that fails some of the laws, each with its order dual
+STRUCTURED = {
+    **{f"2^{k}": chain_product(*[2] * k) for k in range(1, 7)},
+    **{f"chains {sizes}": chain_product(*sizes)
+       for sizes in ((3, 3), (2, 5), (2, 2, 3), (3, 4), (2, 3, 4))},
+    **{f"{name} x {k}": lattice_product(ld.fixture(name), chain(k))
+       for name, k in (("N5", 2), ("M3", 2), ("L4", 2), ("L4D", 3))},
+}
+
+
+@pytest.mark.parametrize("label", sorted(STRUCTURED))
+def test_md_mod_and_semimodularity_match_oracles_on_structured_lattices(label):
+    L = STRUCTURED[label]
+    for M in (L, order_dual(L)):
+        for prop in ("md", "mod", "usm", "lsm"):
+            w = WITNESS_ORACLES[prop](M)
+            assert ld.check_lattice_property(prop, M) == PropertyReport(prop, w is None, w), \
+                (label, M is L, prop)
+
+
+# b covers a for each pair (a, b): 0 < 1, 2, 3, 4; 3, 4 < 5 < 6; 1, 2, 6 < 7
+EIGHT_BUT_NOT_BOOLEAN = ld.from_covers(
+    8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 7), (2, 7), (3, 5), (4, 5), (5, 6), (6, 7)])
+
+
+def test_md_reads_the_order_of_an_interval_not_only_its_size():
+    L = EIGHT_BUT_NOT_BOOLEAN
+    assert L.lower_covers(7) == (1, 2, 6) and mu(L, 7) == 0
+    # [0, 7] is the whole lattice: 8 = 2^3 elements, yet not Boolean
+    assert interval(L, mu(L, 7), 7).n == 8
+    assert ld.check_lattice_property("md", L) == PropertyReport("md", False, (7,))
+    assert oracles.md_witness(L) == (7,)
+    # in the catalog, 24 lattices fail md first at an element whose
+    # interval has exactly 2^c elements, c its number of lower covers
+    fooling = 0
+    for M in ld.enumerate_lattices(8).entries:
+        r = ld.check_lattice_property("md", M)
+        if not r:
+            (a,) = r.witness
+            fooling += interval(M, mu(M, a), a).n == 1 << len(M.lower_covers(a))
+    assert fooling == 24
+
+
+def test_md_and_mu_build_no_tables(convex95):
+    cases = ((STRUCTURED["2^6"], True), (convex95, True),
+             (STRUCTURED["N5 x 2"], False), (EIGHT_BUT_NOT_BOOLEAN, False))
+    for L, holds in cases:
+        L = ld.FiniteLattice(L.up)
+        for a in range(L.n):
+            if a != L.bottom:
+                mu(L, a)
+        assert ld.check_lattice_property("md", L).holds == holds
+        assert "_meet" not in vars(L) and "_join" not in vars(L)
 
 
 @st.composite
