@@ -5,71 +5,116 @@ tuple in lexicographic scan order, so reports are stable across runs.
 Digraph-side property names can also be asked of a lattice, in which case
 they are evaluated on its dual digraph.
 
-Three laws are decided in O(n^2) from the meet and join row tables, by
-reformulations of their definitions:
+Eight laws are decided on the order rows and the cover rows alone, with
+no meet or join table, each by a classical local criterion that costs a
+few row operations per irreducible, per pair of covers or per element:
 
-- jsd: for each a, the law holds iff every class {b : a|b = x} is closed
-  under binary meets, iff a|m = x for the meet m of the class (a closed
-  class contains m; conversely m <= b^c <= b gives
-  x = a|m <= a|(b^c) <= a|b = x).
-- msd: the order dual of jsd, with the join of each class {b : a^b = x}.
-- dist: the cancellation law; for each a, b -> (a^b, a|b) is injective.
+- msd: every join irreducible j has kappa(j), a greatest element above
+  the lower cover of j and not above j (Freese, Jezek and Nation, Free
+  Lattices, 1995, Thm 2.56). jsd is the order dual, on the meet
+  irreducibles.
+- usm: two upper covers of one element have a common upper cover
+  (Birkhoff's condition); lsm is the order dual.
+- mod: usm and lsm.
+- dist: every join irreducible is join prime.
+- sd: jsd and msd.
+- md: each interval [mu(a), a] is Boolean.
 
-Only when one of these fails does the lexicographic scan of the defining
-identity run, to find the witness; if it finds none, RuntimeError is
-raised rather than a verdict. Modularity has no such test: its decider
-is the scan of the identity, over only the triples where the law can
-fail, b incomparable to a and c above a incomparable to b (is_modular
-gives the four other cases). usm and lsm read "x is covered by y" as
-one bit of a cover row. md builds no table: each interval [mu(a), a] is
-distributive iff it is Boolean, which its order rows decide
-(is_meet_distributive gives the lemma). The other laws keep their
-definitional scans.
+Each decider's docstring proves its criterion. Only when a criterion
+fails does the lexicographic scan of the defining identity run, to find
+the witness; if it finds none, RuntimeError is raised rather than a
+verdict. The scans read a meet as the element whose down row is the AND
+of two down rows (L._down_index), and a join likewise through the up
+rows, one row per first argument. wjsd, jmlsm and jmusm keep their
+definitional scans on the meet and join tables; labc and uabc read the
+MDFIPs.
 
-Each dual pair of laws has one scan, told which side to decide: jsd and
-msd, usm and lsm (the tables and the cover direction swapped), jmlsm and
-jmusm, labc and uabc.
+Each dual pair of laws has one criterion and one scan, told which side
+to decide: jsd and msd, usm and lsm (the order and the cover rows
+swapped), jmlsm and jmusm, labc and uabc.
 """
 
 from __future__ import annotations
 
 from . import digraph as dg
-from ._bits import bits
-from .digraph import PropertyReport
+from ._bits import bits, mask
+from .digraph import PropertyReport, _report
 from .duality import dual_digraph, mdfips
 from .errors import UnknownProperty
 from .lattice import join_irreducibles, meet_irreducibles, mu
 
 
 def _no_witness(name):
-    return RuntimeError(f"{name} failed its quadratic check, yet the scan found no witness")
+    return RuntimeError(f"{name} failed its local criterion, yet the scan found no witness")
 
 
-def _semimodular(name, rows, other, into, onto):
-    """rows[a][b] covered by a forces b covered by other[a][b]; x covered
-    by a is one bit of the cover row into[a], b covered by y one bit of
-    onto[b].
+def _up_index(L):
+    # element by its up row, built for a failing scan only: the join of a
+    # and b is the element whose up row is up[a] & up[b]
+    return {row: i for i, row in enumerate(L.up)}
 
-    With the meet and join tables, into the lower cover rows and onto
-    the upper ones, this is upper semimodularity; with both pairs
-    swapped, covers read downward, it is lower semimodularity.
+
+def _covers_have_covers(L, side):
+    """Any two distinct upper covers of one element have a common upper
+    cover (side 0); any two distinct lower covers a common lower cover
+    (side 1)."""
+    rows = (L._upper, L._lower)[side]
+    for covers in L._cover_lists[1 - side]:
+        for i, a in enumerate(covers):
+            row = rows[a]
+            for b in covers[i + 1 :]:
+                if not row & rows[b]:
+                    return False
+    return True
+
+
+def _semimodular(name, L, side):
+    """Upper (side 0) or lower (side 1) semimodularity: the criterion of
+    is_usm, then the scan for the first pair (a, b) with a^b covered by a
+    and b not covered by a|b, or its order dual.
+
+    For usm the b with a^b covered by a are those above a lower cover x
+    of a and not above a: then x <= a^b < a, so a^b = x. Such a b is
+    covered by a|b iff an upper cover y of b lies above a: then
+    b < a|b <= y, so a|b = y. No meet or join is computed.
     """
-    for a, (ra, oa) in enumerate(zip(rows, other)):
-        covered = into[a]
-        for b, (x, y) in enumerate(zip(ra, oa)):
-            if covered >> x & 1 and not onto[b] >> y & 1:
+    if _covers_have_covers(L, side):
+        return PropertyReport(name, True)
+    into, onto = (L._lower, L._upper)[side], (L._upper, L._lower)[side]
+    cone = (L.up, L.down)[side]
+    for a, ca in enumerate(cone):
+        reach = 0
+        for x in bits(into[a]):
+            reach |= cone[x]
+        for b in bits(reach & ~ca):
+            if not onto[b] & ca:
                 return PropertyReport(name, False, (a, b))
-    return PropertyReport(name, True)
+    raise _no_witness(name)
 
 
 def is_usm(L):
-    """Upper semimodular: a^b covered by a forces b covered by a|b."""
-    return _semimodular("usm", L._meet, L._join, L._lower, L._upper)
+    """Upper semimodular: a^b covered by a forces b covered by a|b.
+
+    Criterion (Birkhoff): any two distinct upper covers a and b of one
+    element x have a common upper cover. Only if: a^b = x is covered by
+    a and by b, so by the law a|b covers b and a. If:
+    let a^b be covered by a, and a^b = c_0 < c_1 < ... < c_k = b a
+    maximal chain. By induction c_i is covered by d_i = a|c_i: for
+    i = 0, d_0 = a. Then c_{i+1} and d_i both cover c_i, and differ, as
+    a <= c_{i+1} <= b would give a^b = a. So c_{i+1} and d_i have a
+    common upper cover, which is then their join
+    c_{i+1}|a|c_i = d_{i+1}. At i = k, b is covered by a|b.
+    """
+    return _semimodular("usm", L, 0)
 
 
 def is_lsm(L):
-    """Lower semimodular: a covered by a|b forces a^b covered by b."""
-    return _semimodular("lsm", L._join, L._meet, L._upper, L._lower)
+    """Lower semimodular: a covered by a|b forces a^b covered by b.
+
+    Criterion: the order dual of is_usm's, any two distinct lower covers
+    of one element have a common lower cover.
+    """
+    return _semimodular("lsm", L, 1)
 
 
 def _jm_cover_pairs(L):
@@ -109,86 +154,176 @@ def is_jm_usm(L):
 def is_modular(L):
     """a <= c forces a|(b^c) = (a|b)^c.
 
-    Only b incomparable to a, and c above a incomparable to b, are
-    scanned; every other triple with a <= c satisfies the law, so the
-    first failing triple is the first of the full scan. The four cases:
+    Criterion (Birkhoff, Lattice Theory, 1967, ch. II): a lattice of
+    finite length is modular iff it is upper and lower semimodular, each
+    decided by its cover criterion. Only if: x -> x|b maps [a^b, a] onto
+    [b, a|b] with inverse y -> y^a, so a cover at one end is a cover at
+    the other. If: semimodularity makes all maximal chains between two
+    elements equally long, and the height h then satisfies
+    h(a) + h(b) >= h(a^b) + h(a|b); lower semimodularity gives <=. With
+    this equality and a <= c, h(a|(b^c)) = h(a) + h(b^c) - h(a^b) equals
+    h((a|b)^c) = h(a|b) + h(c) - h(b|c); as a|(b^c) <= (a|b)^c always
+    and h is strictly increasing, the two are equal.
+
+    On failure the scan runs over only b incomparable to a, and c above
+    a incomparable to b; every other triple with a <= c satisfies the
+    law, so the first failing triple is the first of the full scan:
     - b <= a: both sides are a (b^c = b and a|b = a).
     - a <= b: both sides are b^c (a <= b^c, and a|b = b).
     - c <= b: both sides are c (b^c = c, a|c = c, and c <= a|b).
     - b <= c: both sides are a|b (b^c = b, and a|b <= c).
+    As a|(b^c) <= (a|b)^c, the two are equal iff their up rows are.
     """
-    meet, join, up, down = L._meet, L._join, L.up, L.down
+    if _covers_have_covers(L, 0) and _covers_have_covers(L, 1):
+        return PropertyReport("mod", True)
+    up, down, meet, join = L.up, L.down, L._down_index, _up_index(L)
     full = (1 << L.n) - 1
-    for a in range(L.n):
-        ja, above = join[a], up[a]
+    for a, above in enumerate(up):
         for b in bits(full & ~(above | down[a])):
-            mb, m_ab = meet[b], meet[ja[b]]
-            for c in bits(above & ~(up[b] | down[b])):
-                if ja[mb[c]] != m_ab[c]:
+            db, d_ab = down[b], down[join[above & up[b]]]
+            for c in bits(above & ~(up[b] | db)):
+                dc = down[c]
+                if above & up[meet[db & dc]] != up[meet[d_ab & dc]]:
                     return PropertyReport("mod", False, (a, b, c))
-    return PropertyReport("mod", True)
+    raise _no_witness("mod")
 
 
 def is_distributive(L):
-    """a^(b|c) = (a^b)|(a^c), decided by cancellation: for every a, the map
-    b -> (a^b, a|b) is injective."""
-    meet, join = L._meet, L._join
-    if all(len(set(zip(meet[a], join[a]))) == L.n for a in range(L.n)):
+    """a^(b|c) = (a^b)|(a^c).
+
+    Criterion: every join irreducible j is join prime, j <= x|y forcing
+    j <= x or j <= y (Davey and Priestley, Introduction to Lattices and
+    Order, 2002, ch. 5). That is, the elements not above j are closed
+    under joins; as they hold the bottom, they are the down-set of their
+    join, so full & ~up[j] is a down row, and conversely. Only if:
+    j <= x|y gives j = j^(x|y) = (j^x)|(j^y), so j = j^x or j = j^y.
+    If: the join irreducibles below x|y are those below x or below y,
+    and those below x^y those below both. So x -> {j <= x} carries
+    joins to unions and meets to intersections, and is one-to-one, as x
+    is the join of the join irreducibles below it: the lattice is a
+    lattice of sets, which is distributive.
+
+    On failure the scan runs over only b not above a, and c not above a
+    and incomparable to b; the other triples satisfy the law:
+    - a <= b or a <= c: both sides are a.
+    - c <= b: both sides are a^b; b <= c: both sides are a^c.
+    As (a^b)|(a^c) <= a^(b|c) always, the two are equal iff their up
+    rows are.
+    """
+    full, index = (1 << L.n) - 1, L._down_index
+    if all(full & ~L.up[j] in index for j in join_irreducibles(L)):
         return PropertyReport("dist", True)
-    for a in range(L.n):
-        ma = meet[a]
-        for b in range(L.n):
-            jb, j_ab = join[b], join[ma[b]]
-            for c in range(L.n):
-                if ma[jb[c]] != j_ab[ma[c]]:
+    up, down, join = L.up, L.down, _up_index(L)
+    for a, above in enumerate(up):
+        da = down[a]
+        # up row of a^x for every x
+        up_meet = [up[index[da & row]] for row in down]
+        for b in bits(full & ~above):
+            ub, ub_meet = up[b], up_meet[b]
+            for c in bits(full & ~(above | ub | down[b])):
+                if up_meet[join[ub & up[c]]] != ub_meet & up_meet[c]:
                     return PropertyReport("dist", False, (a, b, c))
     raise _no_witness("dist")
 
 
-def _semidistributive(name, rows, other):
-    """rows[a][b] == rows[a][c] forces rows[a][b] == rows[a][other[b][c]].
+def _kappas_exist(L, side):
+    """Every join irreducible j has kappa(j), the greatest element above
+    its lower cover j_* and not above j (side 0); or, the order dual,
+    every meet irreducible m has a least element below its upper cover
+    m^* and not below m (side 1).
 
-    With rows the join table and other the meet table this is join
-    semidistributivity; swapped, meet semidistributivity. For each a the
-    class {b : rows[a][b] = x} is folded by other into one element m;
-    the law holds at a iff rows[a][m] = x for every class.
+    Let S = {x >= j_* : x not >= j}; it holds j_*. A maximal x in S is
+    not the top, and each upper cover of x, above j_* and outside S, is
+    above j; two of them would meet in x, above j, so x is a meet
+    irreducible whose upper cover is above j. Conversely every meet
+    irreducible m in S whose upper cover is above j is maximal in S, as
+    everything above m is above its upper cover. S, being finite, has a
+    greatest element iff it has one maximal element, so one bit test per
+    meet irreducible of S decides kappa(j).
     """
-    n = len(rows)
-    for a, row in enumerate(rows):
-        fold = [-1] * n
-        for b, x in enumerate(row):
-            m = fold[x]
-            fold[x] = b if m < 0 else other[m][b]
-        if all(m < 0 or row[m] == x for x, m in enumerate(fold)):
-            continue
+    cone = (L.up, L.down)[side]
+    own, other = (L._lower, L._upper)[side], (L._upper, L._lower)[side]
+    irreducibles = L._irreducibles
+    others = mask(irreducibles[1 - side])
+    for j in irreducibles[side]:
+        cj = cone[j]
+        s = cone[own[j].bit_length() - 1] & ~cj & others
+        maximal = [m for m in bits(s) if other[m] & cj]
+        if len(maximal) > 1:
+            return False
+    return True
+
+
+def _semidistributive(name, L, side):
+    """Meet (side 0) or join (side 1) semidistributivity: the criterion
+    of is_msd, then the scan for the first (a, b, c) with a^b = a^c and
+    a^b != a^(b|c), or its order dual.
+
+    For msd and each a, the law holds iff every class
+    {b : a^b = x} is closed under binary joins, iff a^m = x for the join
+    m of the class: a closed class contains m; conversely b <= b|c <= m
+    gives x = a^b <= a^(b|c) <= a^m = x. A class is keyed by the down
+    row of x, down[a] & down[b], and m is the element whose up row is
+    the AND of the up rows of the class.
+    """
+    if _kappas_exist(L, side):
+        return PropertyReport(name, True)
+    if side:
+        rows, others, index = L.up, L.down, L._down_index
+    else:
+        rows, others, index = L.down, L.up, _up_index(L)
+    for a, ra in enumerate(rows):
+        classes = {}
+        for b, rb in enumerate(rows):
+            classes.setdefault(ra & rb, []).append(b)
+        for x, members in classes.items():
+            fold = -1
+            for b in members:
+                fold &= others[b]
+            if ra & rows[index[fold]] != x:
+                break
+        else:
+            continue  # every class is closed: the law holds at a
         # every earlier a passed, so the first witness has this a
-        for b, x in enumerate(row):
-            ob = other[b]
-            for c in range(n):
-                if row[c] == x and row[ob[c]] != x:
+        for b, rb in enumerate(rows):
+            x, ob = ra & rb, others[b]
+            for c in classes[x]:
+                if ra & rows[index[ob & others[c]]] != x:
                     return PropertyReport(name, False, (a, b, c))
-        raise _no_witness(name)
-    return PropertyReport(name, True)
+        break
+    raise _no_witness(name)
 
 
 def is_jsd(L):
-    """Join semidistributive: a|b = a|c forces a|b = a|(b^c)."""
-    return _semidistributive("jsd", L._join, L._meet)
+    """Join semidistributive: a|b = a|c forces a|b = a|(b^c).
+
+    Criterion: the order dual of is_msd's, every meet irreducible m has
+    a least element in {x <= m^* : x not <= m}, m^* its upper cover.
+    """
+    return _semidistributive("jsd", L, 1)
 
 
 def is_msd(L):
-    """Meet semidistributive: a^b = a^c forces a^b = a^(b|c)."""
-    return _semidistributive("msd", L._meet, L._join)
+    """Meet semidistributive: a^b = a^c forces a^b = a^(b|c).
+
+    Criterion (Freese, Jezek and Nation, Free Lattices, Thm 2.56): every
+    join irreducible j, with lower cover j_*, has kappa(j), a greatest
+    element in {x >= j_* : x not >= j}. Only if: for x and y in that
+    set, j^x and j^y lie in [j_*, j] and are not j, so both are j_*, and
+    by the law j^(x|y) = j_*: the set is closed under joins. If: let
+    a^b = a^c = d < e = a^(b|c), and j minimal among the elements below
+    e and not below d. By minimality every element below j is below d,
+    so j is not a join of two smaller elements: j is join irreducible,
+    and j_* <= d <= b, c. Neither b nor c is above j, else
+    j <= a^b = d. So b and c lie below kappa(j), and then
+    j <= e <= b|c <= kappa(j), which is not above j.
+    """
+    return _semidistributive("msd", L, 0)
 
 
 def is_sd(L):
-    r = is_jsd(L)
-    if not r:
-        return PropertyReport("sd", False, r.witness)
-    r = is_msd(L)
-    if not r:
-        return PropertyReport("sd", False, r.witness)
-    return PropertyReport("sd", True)
+    """Semidistributive: jsd and msd; the witness is jsd's, else msd's."""
+    return _report("sd", is_jsd(L).witness or is_msd(L).witness)
 
 
 def is_wjsd(L):

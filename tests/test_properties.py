@@ -320,14 +320,23 @@ STRUCTURED = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(STRUCTURED))
-def test_md_mod_and_semimodularity_match_oracles_on_structured_lattices(label):
+def _assert_structured_reports_match_oracles(label, props):
     L = STRUCTURED[label]
     for M in (L, order_dual(L)):
-        for prop in ("md", "mod", "usm", "lsm"):
+        for prop in props:
             w = WITNESS_ORACLES[prop](M)
             assert ld.check_lattice_property(prop, M) == PropertyReport(prop, w is None, w), \
                 (label, M is L, prop)
+
+
+@pytest.mark.parametrize("label", sorted(STRUCTURED))
+def test_md_mod_and_semimodularity_match_oracles_on_structured_lattices(label):
+    _assert_structured_reports_match_oracles(label, ("md", "mod", "usm", "lsm"))
+
+
+@pytest.mark.parametrize("label", sorted(STRUCTURED))
+def test_semidistributivity_and_dist_match_oracles_on_structured_lattices(label):
+    _assert_structured_reports_match_oracles(label, ("jsd", "msd", "dist", "sd"))
 
 
 # b covers a for each pair (a, b): 0 < 1, 2, 3, 4; 3, 4 < 5 < 6; 1, 2, 6 < 7
@@ -353,16 +362,30 @@ def test_md_reads_the_order_of_an_interval_not_only_its_size():
     assert fooling == 24
 
 
-def test_md_and_mu_build_no_tables(convex95):
-    cases = ((STRUCTURED["2^6"], True), (convex95, True),
-             (STRUCTURED["N5 x 2"], False), (EIGHT_BUT_NOT_BOOLEAN, False))
-    for L, holds in cases:
+# the deciders that read only order and cover rows
+ORDER_ROW_PROPS = ("jsd", "msd", "usm", "lsm", "mod", "dist", "sd", "md")
+
+
+def test_order_row_deciders_and_mu_build_no_tables(convex95):
+    # each case with the laws that hold on it
+    cases = ((STRUCTURED["2^6"], set(ORDER_ROW_PROPS)),
+             (convex95, {"jsd", "lsm", "md"}),
+             (STRUCTURED["N5 x 2"], {"jsd", "msd", "sd"}),
+             (STRUCTURED["M3 x 2"], {"usm", "lsm", "mod"}),
+             (EIGHT_BUT_NOT_BOOLEAN, set()))
+    seen = set()
+    for L, holding in cases:
         L = ld.FiniteLattice(L.up)
         for a in range(L.n):
             if a != L.bottom:
                 mu(L, a)
-        assert ld.check_lattice_property("md", L).holds == holds
-        assert "_meet" not in vars(L) and "_join" not in vars(L)
+        for prop in ORDER_ROW_PROPS:
+            holds = ld.check_lattice_property(prop, L).holds
+            assert holds == (prop in holding), (L.n, prop)
+            assert "_meet" not in vars(L) and "_join" not in vars(L), (L.n, prop)
+            seen.add((prop, holds))
+    # every decider both holds and fails, so both its paths ran
+    assert seen == {(p, v) for p in ORDER_ROW_PROPS for v in (True, False)}
 
 
 @st.composite
