@@ -1,5 +1,10 @@
 """Command line front end.
 
+``main`` builds the parser of the named command only (all eight when no
+known command comes first, so help and the invalid-choice error list them
+all). ``dual``, ``primal``, ``check`` and ``convexify`` print one top-level
+key per line with compact values.
+
 Exit codes: 0 success (and property holds / roundtrip closes / all
 statements verified), 1 a checked property or statement fails, 2 usage or
 input errors.
@@ -47,13 +52,18 @@ def _load_either(path):
     raise ValueError('cannot tell lattice from digraph: need "covers" or "arcs"')
 
 
+def _print_object(obj):
+    """One top-level key per line: ``indent`` would run the pure-Python encoder."""
+    print("{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in obj.items()) + "\n}")
+
+
 def _cmd_dual(args):
     L = _load_lattice(args.file)
     G = dual_digraph(L)
     if args.dot:
         sys.stdout.write(digraph_to_dot(G))
     else:
-        print(json.dumps(digraph_to_json(G), indent=2))
+        _print_object(digraph_to_json(G))
     return 0
 
 
@@ -63,7 +73,7 @@ def _cmd_primal(args):
     if args.dot:
         sys.stdout.write(lattice_to_dot(L))
     else:
-        print(json.dumps(lattice_to_json(L), indent=2))
+        _print_object(lattice_to_json(L))
     return 0
 
 
@@ -71,16 +81,11 @@ def _cmd_check(args):
     kind, x = _load_either(args.file)
     check = check_lattice_property if kind == "lattice" else check_digraph_property
     report = check(args.property, x)
-    print(
-        json.dumps(
-            {
-                "property": report.property,
-                "holds": report.holds,
-                "witness": list(report.witness) if report.witness else None,
-            },
-            indent=2,
-        )
-    )
+    _print_object({
+        "property": report.property,
+        "holds": report.holds,
+        "witness": list(report.witness) if report.witness else None,
+    })
     return 0 if report.holds else 1
 
 
@@ -129,63 +134,55 @@ def _cmd_search(args):
 
 def _cmd_convexify(args):
     L = _load_lattice(args.file)
-    print(json.dumps(closure_to_json(lattice_to_convex_geometry(L)), indent=2))
+    _print_object(closure_to_json(lattice_to_convex_geometry(L)))
     return 0
 
 
-def _parser():
+_FILE = (("file",), {})
+_DOT = (("--dot",), {"action": "store_true", "help": "emit DOT instead of JSON"})
+_MAX_N = (("--max-n",), {"type": int, "default": 7})
+
+# name: (function, help, arguments as (flags, keywords)), in help order
+COMMANDS = {
+    "dual": (_cmd_dual, "dual digraph of a lattice", [_FILE, _DOT]),
+    "primal": (_cmd_primal, "map lattice of a reflexive digraph", [_FILE, _DOT]),
+    "check": (_cmd_check, "decide a property of a lattice or digraph", [
+        (("property",), {"help": f"one of: {', '.join(property_names())}"}), _FILE]),
+    "roundtrip": (_cmd_roundtrip, "verify the double-dual isomorphism", [_FILE]),
+    "enumerate": (_cmd_enumerate, "all small lattices, one per class", [
+        (("--max-n",), {"type": int, "required": True}),
+        (("--out",), {"help": "write NDJSON here instead of stdout"})]),
+    "verify-theorems": (_cmd_verify, "run the verification campaign", [
+        _MAX_N, (("--report",), {"help": "also write a JSON report here"})]),
+    "search": (_cmd_search, "lattices holding one property, failing another", [
+        (("--holds",), {"required": True}), (("--fails",), {"required": True}), _MAX_N]),
+    "convexify": (_cmd_convexify, "closure system of a meet distributive lattice", [_FILE]),
+}
+
+
+def _parser(only=None):
+    """The parser with every subparser, or only the one named; a subparser's
+    help and errors depend on itself alone, and the metavar keeps every
+    command in the top-level usage (printed for unrecognized arguments)."""
     p = argparse.ArgumentParser(
         prog="latdual",
         description="Finite lattices, their dual digraphs, and reconstructions",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("dual", help="dual digraph of a lattice")
-    q.add_argument("file")
-    q.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    q.set_defaults(fn=_cmd_dual)
-
-    q = sub.add_parser("primal", help="map lattice of a reflexive digraph")
-    q.add_argument("file")
-    q.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    q.set_defaults(fn=_cmd_primal)
-
-    q = sub.add_parser("check", help="decide a property of a lattice or digraph")
-    q.add_argument("property", help=f"one of: {', '.join(property_names())}")
-    q.add_argument("file")
-    q.set_defaults(fn=_cmd_check)
-
-    q = sub.add_parser("roundtrip", help="verify the double-dual isomorphism")
-    q.add_argument("file")
-    q.set_defaults(fn=_cmd_roundtrip)
-
-    q = sub.add_parser("enumerate", help="all small lattices, one per class")
-    q.add_argument("--max-n", type=int, required=True)
-    q.add_argument("--out", help="write NDJSON here instead of stdout")
-    q.set_defaults(fn=_cmd_enumerate)
-
-    q = sub.add_parser("verify-theorems", help="run the verification campaign")
-    q.add_argument("--max-n", type=int, default=7)
-    q.add_argument("--report", help="also write a JSON report here")
-    q.set_defaults(fn=_cmd_verify)
-
-    q = sub.add_parser("search", help="lattices holding one property, failing another")
-    q.add_argument("--holds", required=True)
-    q.add_argument("--fails", required=True)
-    q.add_argument("--max-n", type=int, default=7)
-    q.set_defaults(fn=_cmd_search)
-
-    q = sub.add_parser("convexify", help="closure system of a meet distributive lattice")
-    q.add_argument("file")
-    q.set_defaults(fn=_cmd_convexify)
-
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (_, summary, arguments) in COMMANDS.items():
+        if only in (None, name):
+            q = sub.add_parser(name, help=summary)
+            for flags, keywords in arguments:
+                q.add_argument(*flags, **keywords)
     return p
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][0](args)
     except (LatdualError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import latdual as ld
-from latdual.cli import main
+from latdual.cli import _parser, main
 from latdual.enumeration import MAX_LATTICE_N
+from latdual.fixtures import m_k
 from latdual.lattice import lattice_from_json, lattice_to_json
 from latdual.digraph import digraph_to_json
 
@@ -170,6 +172,99 @@ def test_convexify_golden(tmp_path, capsys):
 def test_convexify_rejects_unsuitable_lattice(tmp_path, capsys):
     assert main(["convexify", lattice_file(tmp_path, "N5")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_json_outputs_are_the_library_objects_one_key_per_line(tmp_path, capsys, convex95):
+    """`dual`, `primal`, `convexify` and `check` print the library's JSON
+    object in full, one top-level key per line between the two braces."""
+    boolean4 = {"n": 16, "covers": [[a, a | 1 << i] for a in range(16) for i in range(4) if not a >> i & 1]}
+    loops6 = {"v": 6, "arcs": [[x, x] for x in range(6)]}
+    N5 = ld.fixture("N5")
+    mod = ld.check_lattice_property("mod", N5)
+    # (command words, input JSON, exit code, expected output)
+    cases = [
+        (["dual"], obj, 0, digraph_to_json(ld.dual_digraph(lattice_from_json(obj))))
+        for obj in [lattice_to_json(L) for L in (N5, ld.fixture("B2"), m_k(5))] + [boolean4]
+    ]
+    cases += [
+        (["primal"], obj, 0, lattice_to_json(ld.mpe_lattice(ld.digraph_from_json(obj)[0])))
+        for obj in (digraph_to_json(ld.dual_digraph(N5)), loops6)
+    ]
+    cases.append((["convexify"], lattice_to_json(convex95), 0,
+                  ld.closure_to_json(ld.lattice_to_convex_geometry(convex95))))
+    cases.append((["check", "mod"], lattice_to_json(N5), 1,
+                  {"property": "mod", "holds": False, "witness": list(mod.witness)}))
+    for i, (words, obj, code, expected) in enumerate(cases):
+        argv = words + [digraph_file(tmp_path, obj, stem=f"in{i}")]
+        assert main(argv) == code, argv
+        out = capsys.readouterr().out
+        assert json.loads(out) == expected, argv
+        assert len(out.splitlines()) == len(expected) + 2, argv
+
+
+def _full_subparser(name):
+    """The subparser `name` of the parser with all eight commands."""
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+COMMAND_NAMES = ("dual", "primal", "check", "roundtrip", "enumerate", "verify-theorems", "search", "convexify")
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_command_help_is_that_of_the_full_parser(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _full_subparser(name).format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["primal"],
+    ["enumerate"],
+    ["search", "--holds", "mod"],
+    ["check", "mod"],
+    ["enumerate", "--max-n", "four"],
+    ["dual", "lattice.json", "--bogus"],
+])
+def test_usage_errors_match_the_full_parser(argv, capsys):
+    """Errors raised by a subparser and by the top-level parser (an
+    unrecognized argument) read the same through the lean parser."""
+    with pytest.raises(SystemExit) as lean:
+        main(argv)
+    lean_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as full:
+        _parser().parse_args(argv)
+    assert lean.value.code == full.value.code == 2
+    assert lean_err == capsys.readouterr().err
+    assert lean_err.startswith("usage: latdual")
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["bogus"]])
+def test_without_a_known_command_every_command_is_named(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    cap = capsys.readouterr()
+    for name in COMMAND_NAMES:
+        assert name in cap.out + cap.err, (argv, name)
+
+
+def test_a_command_builds_only_its_own_subparser(tmp_path, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["roundtrip", lattice_file(tmp_path, "B2")]) == 0
+    assert built == ["roundtrip"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == list(COMMAND_NAMES)
+    capsys.readouterr()
 
 
 def test_bad_json_file(tmp_path, capsys):
