@@ -24,7 +24,7 @@ from .lattice import FiniteLattice, join_irreducibles, meet_irreducibles
 
 # the most elements a map lattice may have; a digraph of v isolated loops
 # has 2^v maximal maps, and the order rows of the lattice grow with the
-# square (the meet and join tables too, once read)
+# square
 MAX_MAP_LATTICE_N = 4096
 
 

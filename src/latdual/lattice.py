@@ -14,8 +14,11 @@ Conventions used throughout the package:
       the intersection closure of the sets. Both decide closure with
       ``_bits.intersection_closed``, testing only the members with one
       upper cover, and only a rejection runs a pairwise scan to name the
-      fault. The meet and join tables are built on first read. Downstream
-      code relies on total tables and never re-checks.
+      fault. Downstream code relies on this and never re-checks.
+    - A meet or a join is a row AND and one lookup: a^b is the element
+      whose down row is ``down[a] & down[b]`` (``_down_index``), and a|b
+      the one whose up row is ``up[a] & up[b]`` (``_up_index``). No n^2
+      table is kept.
     - Witness-returning searches scan in lexicographic element order, so
       reported witnesses are reproducible.
 """
@@ -53,7 +56,14 @@ class FiniteLattice:
         # element whose down-set is down[a] & down[b]
         full = (1 << self.n) - 1
         if full not in self.down or not intersection_closed(self.down, self._upper):
-            self._build_tables()
+            # name the first pair, in (a, b) order, lacking a join or a meet
+            up, down = self.up, self.down
+            for a in range(self.n):
+                for b in range(a, self.n):
+                    if up[a] & up[b] not in self._up_index:
+                        raise NotALattice(f"elements {a} and {b} have no join")
+                    if down[a] & down[b] not in self._down_index:
+                        raise NotALattice(f"elements {a} and {b} have no meet")
             raise RuntimeError("the closure check failed, yet the scan found no fault")
 
     @classmethod
@@ -68,8 +78,7 @@ class FiniteLattice:
         union. A lattice of sets whose meet is not the intersection fails
         this test and needs the generic constructor on its inclusion order.
         Both order rows come from the membership columns, and one sweep
-        gives the upper covers that ``intersection_closed`` reads; the
-        meet and join tables wait for their first read.
+        gives the upper covers that ``intersection_closed`` reads.
         """
         masks = tuple(masks)
         index, union = {}, 0
@@ -135,39 +144,17 @@ class FiniteLattice:
                         f"transitivity fails on {i} <= {j} <= {k}"
                     )
 
-    def _build_tables(self):
-        n = self.n
-        up_row = {self.up[i]: i for i in range(n)}
-        down_row = self._down_index
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                j = up_row.get(self.up[a] & self.up[b])
-                if j is None:
-                    raise NotALattice(f"elements {a} and {b} have no join")
-                m = down_row.get(self.down[a] & self.down[b])
-                if m is None:
-                    raise NotALattice(f"elements {a} and {b} have no meet")
-                join[a][b] = join[b][a] = j
-                meet[a][b] = meet[b][a] = m
-        return tuple(map(tuple, meet)), tuple(map(tuple, join))
-
-    @cached_property
-    def _meet(self):
-        meet, self._join = self._build_tables()
-        return meet
-
-    @cached_property
-    def _join(self):
-        self._meet, join = self._build_tables()
-        return join
-
     @cached_property
     def _down_index(self):
         # element by its down row: the meet of a set is the element whose
         # down row is the AND of theirs
         return {row: i for i, row in enumerate(self.down)}
+
+    @cached_property
+    def _up_index(self):
+        # element by its up row: the join of a set is the element whose up
+        # row is the AND of theirs
+        return {row: i for i, row in enumerate(self.up)}
 
     @cached_property
     def bottom(self):
@@ -183,10 +170,10 @@ class FiniteLattice:
         return bool(self.up[a] >> b & 1)
 
     def meet(self, a, b):
-        return self._meet[a][b]
+        return self._down_index[self.down[a] & self.down[b]]
 
     def join(self, a, b):
-        return self._join[a][b]
+        return self._up_index[self.up[a] & self.up[b]]
 
     def is_cover(self, a, b):
         """True iff b covers a, i.e. a < b with nothing strictly between."""
@@ -385,17 +372,20 @@ def find_n5_sublattices(L):
     """All pentagon sublattices, as tuples (z, a, b, c, o).
 
     Here z = a^b = a^c, o = a|b = a|c, b < c, and a is incomparable to
-    both b and c. Tuples come out lexicographically sorted.
+    both b and c. Tuples come out lexicographically sorted. Meets and
+    joins are compared as rows; z and o are looked up only for the
+    tuples found.
     """
     up, down, full = L.up, L.down, (1 << L.n) - 1
     out = []
     for a in range(L.n):
-        others = full & ~(up[a] | down[a])
-        ma, ja = L._meet[a], L._join[a]
+        ua, da = up[a], down[a]
+        others = full & ~(ua | da)
         for b in bits(others):
+            meet, join = da & down[b], ua & up[b]
             for c in bits(others & up[b] & ~(1 << b)):
-                if ma[b] == ma[c] and ja[b] == ja[c]:
-                    out.append((ma[b], a, b, c, ja[b]))
+                if da & down[c] == meet and ua & up[c] == join:
+                    out.append((L._down_index[meet], a, b, c, L._up_index[join]))
     return sorted(out)
 
 

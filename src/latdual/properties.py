@@ -25,9 +25,9 @@ fails does the lexicographic scan of the defining identity run, to find
 the witness; if it finds none, RuntimeError is raised rather than a
 verdict. The scans read a meet as the element whose down row is the AND
 of two down rows (L._down_index), and a join likewise through the up
-rows, one row per first argument. wjsd, jmlsm and jmusm keep their
-definitional scans on the meet and join tables; labc and uabc read the
-MDFIPs.
+rows (L._up_index). wjsd, jmlsm and jmusm keep their definitional scans,
+comparing joins as up rows and testing covers on the cover rows (see
+_semimodular); labc and uabc read the MDFIPs.
 
 Each dual pair of laws has one criterion and one scan, told which side
 to decide: jsd and msd, usm and lsm (the order and the cover rows
@@ -46,12 +46,6 @@ from .lattice import join_irreducibles, meet_irreducibles, mu
 
 def _no_witness(name):
     return RuntimeError(f"{name} failed its local criterion, yet the scan found no witness")
-
-
-def _up_index(L):
-    # element by its up row, built for a failing scan only: the join of a
-    # and b is the element whose up row is up[a] & up[b]
-    return {row: i for i, row in enumerate(L.up)}
 
 
 def _covers_have_covers(L, side):
@@ -119,13 +113,17 @@ def is_lsm(L):
 
 def _jm_cover_pairs(L):
     """(a, b, (b covered by a|b, a^b covered by a)) for every join
-    irreducible a and meet irreducible b, read off the meet and join
-    tables."""
+    irreducible a and meet irreducible b, read off the cover rows: as in
+    _semimodular, b is covered by a|b iff a is not below b and an upper
+    cover of b is above a, and a^b is covered by a iff a is not below b
+    and a lower cover of a is above b."""
+    up, down, upper, lower = L.up, L.down, L._upper, L._lower
     mi = meet_irreducibles(L)
     for a in join_irreducibles(L):
-        ma, ja = L._meet[a], L._join[a]
+        ua, la = up[a], lower[a]
         for b in mi:
-            yield a, b, (L.is_cover(b, ja[b]), L.is_cover(ma[b], a))
+            apart = not ua >> b & 1
+            yield a, b, (apart and bool(upper[b] & ua), apart and bool(la & down[b]))
 
 
 def _jm_semimodular(name, L, side):
@@ -176,7 +174,7 @@ def is_modular(L):
     """
     if _covers_have_covers(L, 0) and _covers_have_covers(L, 1):
         return PropertyReport("mod", True)
-    up, down, meet, join = L.up, L.down, L._down_index, _up_index(L)
+    up, down, meet, join = L.up, L.down, L._down_index, L._up_index
     full = (1 << L.n) - 1
     for a, above in enumerate(up):
         for b in bits(full & ~(above | down[a])):
@@ -213,7 +211,7 @@ def is_distributive(L):
     full, index = (1 << L.n) - 1, L._down_index
     if all(full & ~L.up[j] in index for j in join_irreducibles(L)):
         return PropertyReport("dist", True)
-    up, down, join = L.up, L.down, _up_index(L)
+    up, down, join = L.up, L.down, L._up_index
     for a, above in enumerate(up):
         da = down[a]
         # up row of a^x for every x
@@ -271,7 +269,7 @@ def _semidistributive(name, L, side):
     if side:
         rows, others, index = L.up, L.down, L._down_index
     else:
-        rows, others, index = L.down, L.up, _up_index(L)
+        rows, others, index = L.down, L.up, L._up_index
     for a, ra in enumerate(rows):
         classes = {}
         for b, rb in enumerate(rows):
@@ -328,14 +326,16 @@ def is_sd(L):
 
 def is_wjsd(L):
     """Join semidistributive law restricted to a meet irreducible first
-    argument and a join irreducible second argument."""
-    ji, meet = join_irreducibles(L), L._meet
+    argument and a join irreducible second argument. Joins with a are
+    compared as up rows, and b^c is read through L._down_index."""
+    up, down, meet = L.up, L.down, L._down_index
+    ji = join_irreducibles(L)
     for a in meet_irreducibles(L):
-        ja = L._join[a]
+        ua = up[a]
         for b in ji:
-            ab, mb = ja[b], meet[b]
+            ab, db = ua & up[b], down[b]
             for c in range(L.n):
-                if ab == ja[c] and ab != ja[mb[c]]:
+                if ua & up[c] == ab and ua & up[meet[db & down[c]]] != ab:
                     return PropertyReport("wjsd", False, (a, b, c))
     return PropertyReport("wjsd", True)
 

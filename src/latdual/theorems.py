@@ -255,32 +255,30 @@ def _thm_3_2(case):
 
 
 def _lem_3_4(case):
+    # upper part: for b meet irreducible, b covered by a|b puts all of
+    # up[b] but b above a; the lower part is its order dual. As in
+    # _jm_cover_pairs, x is covered by x|y iff y is not below x and an
+    # upper cover of x is above y
     L = case.lattice
-    up, down = L.up, L.down
-    for b in meet_irreducibles(L):
-        jb = L._join[b]
-        for a in range(L.n):
-            if not L.is_cover(b, jb[a]):
-                continue
-            # strictly above b but not above a
-            bad = up[b] & ~(1 << b) & ~up[a]
-            if bad:
-                return False, {"part": "upper", "a": a, "b": b, "c": next(bits(bad))}
-    for a in join_irreducibles(L):
-        ma = L._meet[a]
-        for b in range(L.n):
-            if not L.is_cover(ma[b], a):
-                continue
-            # strictly below a but not below b
-            bad = down[a] & ~(1 << a) & ~down[b]
-            if bad:
-                return False, {"part": "lower", "a": a, "b": b, "d": next(bits(bad))}
+    for side, part, key in ((0, "upper", "c"), (1, "lower", "d")):
+        cone, covers = (L.up, L.down)[side], (L._upper, L._lower)[side]
+        for x in (meet_irreducibles(L), join_irreducibles(L))[side]:
+            strict = cone[x] & ~(1 << x)
+            for y in range(L.n):
+                cy = cone[y]
+                if cy >> x & 1 or not covers[x] & cy:
+                    continue
+                # strictly above x but not above y, or the dual
+                bad = strict & ~cy
+                if bad:
+                    a, b = (x, y) if side else (y, x)
+                    return False, {"part": part, "a": a, "b": b, key: next(bits(bad))}
     return True, None
 
 
 def _lem_3_5(case):
     L = case.lattice
-    up, join = L.up, L._join
+    up, upper = L.up, L._upper
     mi = mask(meet_irreducibles(L))
     for a in range(L.n):
         for b in range(L.n):
@@ -291,7 +289,9 @@ def _lem_3_5(case):
             for d in bits(ts):
                 if up[d] & ts != 1 << d:
                     continue  # not maximal in ts
-                if not L.is_cover(d, join[d][a]):
+                # a is not below d, so d is covered by d|a iff an upper
+                # cover of d is above a
+                if not upper[d] & up[a]:
                     return False, {"a": a, "b": b, "d": d}
     return True, None
 

@@ -12,14 +12,31 @@ The statement checks and the helpers they call are also kept here in
 their earlier form, reading the order through ``leq``, ``meet`` and
 ``join`` one pair at a time, so that the row-mask versions in the
 package can be compared with them case by case. They read the
-irreducibles, the MDFIPs and the meet and join tables through the same
-accessors as the package, so a corrupted cache reaches both alike.
+irreducibles, the MDFIPs and the meets and joins (through the row
+indexes ``_down_index`` and ``_up_index``) by the same accessors as the
+package, so a corrupted cache reaches both alike.
 """
 
 from itertools import combinations, permutations, product
 
 from latdual.duality import mdfips, mpe_lattice
 from latdual.lattice import join_irreducibles, meet_irreducibles
+
+
+def _entries(value):
+    # the scalars in a nest of tuples and lists
+    if isinstance(value, (tuple, list)):
+        return sum(map(_entries, value))
+    return 1
+
+
+def assert_no_square_table(L):
+    """Fail if a value cached on L is a table of n rows holding n^2
+    entries in all, as a meet or join table would be."""
+    for name, value in vars(L).items():
+        if isinstance(value, (tuple, list)) and len(value) == L.n:
+            if all(isinstance(row, (tuple, list)) for row in value):
+                assert _entries(value) < L.n**2, name
 
 
 def bits(mask):

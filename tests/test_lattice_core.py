@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 import latdual as ld
 from latdual._bits import bits, permute
 from latdual.lattice import FiniteLattice
-from oracles import cover_pairs, is_lattice, is_partial_order, lattice_isomorphic_brute
+from oracles import (
+    assert_no_square_table,
+    cover_pairs,
+    is_lattice,
+    is_partial_order,
+    lattice_isomorphic_brute,
+)
 
 
 def test_two_chain_basics():
@@ -342,7 +348,7 @@ def test_lattice_check_matches_the_definition_on_posets(up):
     assert (expected is None) == is_lattice(up)
     if expected is None:
         L = FiniteLattice(up)
-        assert "_meet" not in vars(L) and "_join" not in vars(L)
+        assert_no_square_table(L)
         assert L.up[L.bottom] == L.down[L.top] == (1 << L.n) - 1
     else:
         with pytest.raises(ld.NotALattice) as exc:
@@ -350,7 +356,7 @@ def test_lattice_check_matches_the_definition_on_posets(up):
         assert str(exc.value) == expected
 
 
-def test_constructors_build_the_tables_on_first_read():
+def test_constructors_and_their_meets_and_joins_build_no_tables():
     cube = [(a, a | 1 << i) for a in range(8) for i in range(3) if not a >> i & 1]
     B = ld.from_covers(8, cube)
     for L in (
@@ -358,11 +364,19 @@ def test_constructors_build_the_tables_on_first_read():
         ld.lattice_from_json(ld.lattice_to_json(ld.fixture("L4"))),
         B,
     ):
-        assert "_meet" not in vars(L) and "_join" not in vars(L)
+        assert_no_square_table(L)
     assert [B.meet(a, b) for a in range(8) for b in range(8)] == [
         a & b for a in range(8) for b in range(8)
     ]
     assert [B.join(a, b) for a in range(8) for b in range(8)] == [
         a | b for a in range(8) for b in range(8)
     ]
-    assert "_meet" in vars(B) and "_join" in vars(B)
+    assert_no_square_table(B)
+
+
+def test_the_table_check_fails_on_a_square_table():
+    L = FiniteLattice(ld.fixture("N5").up)
+    assert_no_square_table(L)
+    L._meet = tuple(tuple(L.meet(a, b) for b in range(L.n)) for a in range(L.n))
+    with pytest.raises(AssertionError, match="_meet"):
+        assert_no_square_table(L)

@@ -1,5 +1,6 @@
 """Lattices of set families: FiniteLattice.of_sets against the generic
-constructor on the inclusion order, and the tables it builds on read."""
+constructor on the inclusion order, with meets and joins read off the
+order rows and no table built."""
 
 import random
 
@@ -14,19 +15,14 @@ from latdual.convexity import ClosureSystem, cld_lattice
 from latdual.digraph import Digraph
 from latdual.duality import mdfips, mdfips_bruteforce, mpe_enumerate, mpe_lattice
 from latdual.lattice import FiniteLattice
-from oracles import reflexive_rows
+from oracles import assert_no_square_table, reflexive_rows
 
 
 def same_lattice(L, R):
-    return (L.up, L.down, L.covers, L._meet, L._join, L.bottom, L.top) == (
-        R.up,
-        R.down,
-        R.covers,
-        R._meet,
-        R._join,
-        R.bottom,
-        R.top,
-    )
+    if (L.up, L.down, L.covers, L.bottom, L.top) != (R.up, R.down, R.covers, R.bottom, R.top):
+        return False
+    pairs = [(a, b) for a in range(L.n) for b in range(L.n)]
+    return all(L.meet(a, b) == R.meet(a, b) and L.join(a, b) == R.join(a, b) for a, b in pairs)
 
 
 def assert_map_lattice_matches_generic(G):
@@ -176,13 +172,12 @@ def test_map_lattice_roundtrip_builds_no_tables(monkeypatch):
     assert duality.roundtrip_digraph(loops(10))
     [L] = built
     assert L.n == 1 << 10
-    assert "_meet" not in vars(L) and "_join" not in vars(L)
+    assert_no_square_table(L)
 
 
 def test_irreducible_and_pair_caches_build_no_tables(monkeypatch):
     """The round trip of 10 loops fills the irreducible and MDFIP caches
-    of the 2^10 map lattice from its order rows; the meet and join tables
-    stay unbuilt."""
+    of the 2^10 map lattice from its order rows, and builds no table."""
     built = []
 
     def recording_mpe_lattice(G):
@@ -198,13 +193,13 @@ def test_irreducible_and_pair_caches_build_no_tables(monkeypatch):
     assert ld.join_irreducibles(L) == tuple(atoms)
     assert ld.meet_irreducibles(L) == tuple(coatoms)
     assert len(mdfips(L)) == 10
-    assert "_meet" not in vars(L) and "_join" not in vars(L)
+    assert_no_square_table(L)
 
 
-def test_map_lattice_tables_are_built_on_first_read():
+def test_map_lattice_meets_and_joins_build_no_tables():
     L = mpe_lattice(loops(10))
     ld.lattice_to_json(L)
-    assert "_meet" not in vars(L) and "_join" not in vars(L)
+    assert_no_square_table(L)
     masks = sorted(range(1 << 10), key=lambda m: (m.bit_count(), m))
     pos = {m: i for i, m in enumerate(masks)}
     rnd = random.Random(0)
@@ -212,7 +207,7 @@ def test_map_lattice_tables_are_built_on_first_read():
         a, b = rnd.randrange(L.n), rnd.randrange(L.n)
         assert L.meet(a, b) == pos[masks[a] & masks[b]]
         assert L.join(a, b) == pos[masks[a] | masks[b]]
-    assert "_meet" in vars(L) and "_join" in vars(L)
+    assert_no_square_table(L)
 
 
 def old_closure_system_error(closed):
