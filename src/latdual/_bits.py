@@ -9,12 +9,28 @@ so both directions of the duality use the same few operations.
 from __future__ import annotations
 
 
+# the set bits of each mask below 256: lattice rows at n <= 8, digraph rows at v <= 5
+_SMALL = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
 def bits(mask):
-    """The set bits of mask, lowest first."""
+    """An iterator over the set bits of mask, lowest first."""
+    return iter(_SMALL[mask]) if mask < 256 else _walk(mask)
+
+
+def _walk(mask):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union(rows, mask):
+    """The union of ``rows[i]`` over the set bits i of mask."""
+    out = 0
+    for i in bits(mask):
+        out |= rows[i]
+    return out
 
 
 def mask(xs):

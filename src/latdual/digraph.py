@@ -9,16 +9,20 @@ Dual conditions share one scan, told which sets to compare: separation,
 djsd and dmsd look for twins by out-set and in-set, in-set, or out-set;
 interpolation, lti and uti for an interpolating vertex; wt0 and wt1 for
 a weakly transitive triple; fis and find_induced for induced patterns.
+
+Each scan reads row masks; none tries third vertices one at a time.
+Twins are keys repeated in a dict. out(z) is inside out(x) iff z is in
+no in-set of a vertex outside out(x), dually for in-sets. A triple x, y,
+z induces a pattern iff z is in one mask given how x and y are linked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from . import _canon
-from ._bits import bits, json_pairs, transpose
+from ._bits import bits, json_pairs, transpose, union
 from .errors import NotReflexive
 
 
@@ -111,12 +115,13 @@ def _twin_witness(G, by_out=True, by_in=True):
     """The first pair x < y whose out-sets (if by_out) and in-sets (if
     by_in) are both equal. With both compared, separation fails there:
     distinct vertices must differ in out-set or in-set."""
-    keys = [(r if by_out else 0, c if by_in else 0) for r, c in zip(G.rows, G.cols)]
-    for x, key in enumerate(keys):
-        for y in range(x + 1, G.v):
-            if keys[y] == key:
-                return (x, y)
-    return None
+    keys = zip(G.rows, G.cols) if by_out and by_in else G.rows if by_out else G.cols
+    first, best = {}, None
+    for y, key in enumerate(keys):
+        x = first.setdefault(key, y)
+        if x < y and (best is None or x < best[0]):
+            best = (x, y)
+    return best
 
 
 def _reduction_witness(G):
@@ -132,23 +137,27 @@ def _reduction_witness(G):
     return None
 
 
+def _classes(rows):
+    # per x, the z with rows[z] equal to rows[x]
+    cls = {}
+    for z, r in enumerate(rows):
+        cls[r] = cls.get(r, 0) | 1 << z
+    return [cls[r] for r in rows]
+
+
 def _interpolation_witness(G, same_out=False, same_in=False):
     """The first arc (x, y) admitting no z with out(z) inside out(x) and
     in(z) inside in(y): a failure of interpolation. same_out asks for
     out(z) = out(x) instead (lower interpolation), same_in for
-    in(z) = in(y) (upper interpolation)."""
-    rows, cols = G.rows, G.cols
-    for x in range(G.v):
-        rx = rows[x]
-        for y in bits(rx):
-            cy = cols[y]
-            if not any(
-                (rows[z] == rx if same_out else not rows[z] & ~rx)
-                and (cols[z] == cy if same_in else not cols[z] & ~cy)
-                for z in range(G.v)
-            ):
-                return (x, y)
-    return None
+    in(z) = in(y) (upper interpolation).
+
+    The z are lo[x] & hi[y]: z has an arc leaving out(x) iff it is in the
+    in-set of a vertex outside out(x), and hi[y] is dual."""
+    rows, cols, full = G.rows, G.cols, (1 << G.v) - 1
+    lo = _classes(rows) if same_out else [full & ~union(cols, full & ~r) for r in rows]
+    hi = _classes(cols) if same_in else [full & ~union(rows, full & ~c) for c in cols]
+    arcs = ((x, y) for x in range(G.v) for y in bits(rows[x]))
+    return next(((x, y) for x, y in arcs if not lo[x] & hi[y]), None)
 
 
 def check_tirs(G):
@@ -199,7 +208,7 @@ def is_transitive(G):
         for y in bits(rows[x]):
             extra = rows[y] & ~rows[x]
             if extra:
-                return PropertyReport("trans", False, (x, y, next(bits(extra))))
+                return PropertyReport("trans", False, (x, y, (extra & -extra).bit_length() - 1))
     return PropertyReport("trans", True)
 
 
@@ -229,44 +238,48 @@ G1 = ForbiddenPattern("G1", ((0, 1),))
 G2 = ForbiddenPattern("G2", ())
 
 
-def _classify_triple(G, x, y, z):
-    # non-loop arcs inside the triple, as ordered pairs
-    arcs = [
-        (p, q)
-        for p in (x, y, z)
-        for q in (x, y, z)
-        if p != q and G.has_arc(p, q)
-    ]
-    if not arcs:
-        return "G2"
-    if len(arcs) == 1:
-        return "G1"
-    if len(arcs) == 2:
-        (a1, b1), (a2, b2) = arcs
-        if b1 == a2 and a1 != b2:
-            return "G0"
-        if b2 == a1 and a2 != b1:
-            return "G0"
-    return None
-
-
-def _induced_triples(G, kinds):
-    # (kind, (x, y, z)) for the triples x < y < z inducing a pattern in kinds
-    for t in combinations(range(G.v), 3):
-        kind = _classify_triple(G, *t)
-        if kind in kinds:
-            yield kind, t
+def _third_vertices(G):
+    """(x, y, g0, g1, g2) for each pair x < y: the masks of the z > y for
+    which x, y and z induce G0, G1 or G2. z is in ``to[x]`` (``fro[x]``)
+    if x -> z (z -> x) with no arc back, in ``apart[x]`` if no arc links
+    them. G2 is three pairs apart, G1 one one-way pair and two apart, G0
+    two one-way pairs on a path through all three."""
+    rows, cols, v = G.rows, G.cols, G.v
+    full = (1 << v) - 1
+    to = [r & ~c for r, c in zip(rows, cols)]
+    fro = [c & ~r for r, c in zip(rows, cols)]
+    apart = [full & ~(r | c | 1 << x) for x, (r, c) in enumerate(zip(rows, cols))]
+    for x in range(v):
+        tx, fx, ax = to[x], fro[x], apart[x]
+        for y in range(x + 1, v):
+            ty, fy, ay = to[y], fro[y], apart[y]
+            if ax >> y & 1:
+                g0, g1, g2 = tx & fy | fx & ty, (tx | fx) & ay | ax & (ty | fy), ax & ay
+            elif tx >> y & 1:
+                g0, g1, g2 = ty & ax | fx & ay, ax & ay, 0
+            elif fx >> y & 1:
+                g0, g1, g2 = tx & ay | fy & ax, ax & ay, 0
+            else:
+                continue
+            above = full ^ ((2 << y) - 1)
+            yield x, y, g0 & above, g1 & above, g2 & above
 
 
 def find_induced(G, pattern):
     """All vertex triples inducing the pattern, sorted, as (x, y, z) with x < y < z."""
     want = pattern.id if isinstance(pattern, ForbiddenPattern) else str(pattern)
-    return [t for _, t in _induced_triples(G, (want,))]
+    k = {"G0": 2, "G1": 3, "G2": 4}.get(want)
+    return [] if k is None else [(t[0], t[1], z) for t in _third_vertices(G) for z in bits(t[k])]
 
 
 def check_fis(G):
     """No induced two-arc path triple and no induced single-arc triple."""
-    return _report("fis", next(_induced_triples(G, ("G0", "G1")), None))
+    for x, y, g0, g1, _ in _third_vertices(G):
+        either = g0 | g1
+        if either:
+            z = (either & -either).bit_length() - 1
+            return _report("fis", ("G0" if g0 >> z & 1 else "G1", (x, y, z)))
+    return _report("fis", None)
 
 
 def _weak_transitivity_witness(G, path):
@@ -279,7 +292,7 @@ def _weak_transitivity_witness(G, path):
         for y in bits(rows[x] & ~cols[x]):
             zs = apart & (rows[y] & ~cols[y] if path else ~(rows[y] | cols[y]))
             if zs:
-                return (x, y, next(bits(zs)))
+                return (x, y, (zs & -zs).bit_length() - 1)
     return None
 
 

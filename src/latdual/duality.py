@@ -11,16 +11,21 @@ whose domain avoids mapping an arc source to 1 and its target to 0
 (arc-preserving partial two-colourings), ordered by inclusion of their
 one-sets. For a reflexive digraph these maps biject with the fixpoints of
 a closure operator on one-sets, which is how they are enumerated here.
+
+Both round trips first try the isomorphism that Theorem 2.6 names (see
+``_lattice_certificate``, ``_digraph_certificate``), accepted only as a
+bijection under which the rows are equal. That proves it without the
+theorem (sound); if it fails, a canonical-form search decides (complete).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits, mask
-from .digraph import Digraph
+from ._bits import bits, mask, permute, union
+from .digraph import Digraph, digraph_isomorphic
 from .errors import BoundTooLarge, NotALattice, NotDisjoint
-from .lattice import FiniteLattice, join_irreducibles, meet_irreducibles
+from .lattice import FiniteLattice, join_irreducibles, lattice_isomorphic, meet_irreducibles
 
 # the most elements a map lattice may have; a digraph of v isolated loops
 # has 2^v maximal maps, and the order rows of the lattice grow with the
@@ -133,6 +138,13 @@ def _one_sets(G):
     return sets
 
 
+def _close(rows, cols, u):
+    """U(Z(U)) of ``_next_closure`` for a one-set mask u: Z and U are
+    complements of unions of rows and of columns."""
+    full = (1 << len(rows)) - 1
+    return full & ~union(cols, full & ~union(rows, u))
+
+
 def _next_closure(G):
     """Lectic NextClosure over the one-sets of the maximal maps.
 
@@ -143,20 +155,8 @@ def _next_closure(G):
     sets of U -> U(Z(U)).
     """
     rows, cols, v = G.rows, G.cols, G.v
-
-    def close(u):
-        zm = 0
-        for z in range(v):
-            if cols[z] & u == 0:
-                zm |= 1 << z
-        m = 0
-        for x in range(v):
-            if rows[x] & zm == 0:
-                m |= 1 << x
-        return m
-
     sets = []
-    a = close(0)
+    a = _close(rows, cols, 0)
     while True:
         sets.append(a)
         if len(sets) > MAX_MAP_LATTICE_N:
@@ -167,7 +167,7 @@ def _next_closure(G):
             if a >> i & 1:
                 continue
             below = a & ((1 << i) - 1)
-            b = close(below | 1 << i)
+            b = _close(rows, cols, below | 1 << i)
             if b & ((1 << i) - 1) & ~below == 0:
                 a = b
                 break
@@ -175,20 +175,22 @@ def _next_closure(G):
             return tuple(sets)
 
 
-def mpe_enumerate(G):
-    """All maximal arc-preserving partial maps V -> {0, 1}, sorted.
+def map_masks(G):
+    """The (one-set, zero-set) masks of the maximal maps of G, sorted; the
+    zero-set is Z(U) of ``_close``, so distinct maps differ in one-sets."""
+    rows, full = G.rows, (1 << G.v) - 1
+    return [(u, full & ~union(rows, u)) for u in sorted(_one_sets(G))]
 
-    Sorted by (one-set mask, zero-set mask); distinct maps always differ
-    in their one-set, so the order is total. The zero-set of a one-set U
-    is the largest legal one, Z(U) in ``_next_closure``.
-    """
-    cols, v = G.cols, G.v
-    return [
-        PartialTwoMap(
-            frozenset(bits(u)), frozenset(z for z in range(v) if cols[z] & u == 0)
-        )
-        for u in sorted(_one_sets(G))
-    ]
+
+def mpe_enumerate(G):
+    """All maximal arc-preserving partial maps V -> {0, 1}, sorted by
+    (one-set mask, zero-set mask), as ``map_masks`` gives them."""
+    return [PartialTwoMap(frozenset(bits(u)), frozenset(bits(z))) for u, z in map_masks(G)]
+
+
+def _map_lattice_sets(G):
+    # the one-sets of the maximal maps in the element order of mpe_lattice
+    return sorted(_one_sets(G), key=lambda m: (m.bit_count(), m))
 
 
 def mpe_lattice(G):
@@ -199,26 +201,60 @@ def mpe_lattice(G):
     The one-sets are the closed sets of a closure operator, so they pass
     the intersection-closure check of ``FiniteLattice.of_sets``.
     """
-    masks = sorted(_one_sets(G), key=lambda m: (m.bit_count(), m))
     try:
-        return FiniteLattice.of_sets(masks)
+        return FiniteLattice.of_sets(_map_lattice_sets(G))
     except NotALattice as exc:
         raise NotALattice(
             f"maximal map family is not a lattice under one-set inclusion: {exc}"
         ) from exc
 
 
-def roundtrip_lattice(L):
-    """L is isomorphic to the map lattice of its own dual digraph."""
-    from .lattice import lattice_isomorphic
+def certified(rows1, rows2, m):
+    """True iff m, sending element p of relation 1 to ``m[p]`` of relation
+    2, is a bijection carrying relation 2 back onto relation 1 exactly."""
+    n = len(rows1)
+    bijective = len(rows2) == len(m) == n and set(m) == set(range(n))
+    return bijective and permute(rows2, m) == tuple(rows1)
 
-    ok, _ = lattice_isomorphic(L, mpe_lattice(dual_digraph(L)))
-    return ok
+
+def _lattice_certificate(L, G, M):
+    """The isomorphism of Theorem 2.6 from L onto M, the map lattice of G,
+    a digraph on MDFIPs (a_i, b_i) of L: c goes to one-set {i : a_i <= c}.
+    None unless the map is ``certified``, as when G carries no MDFIPs."""
+    index = {s: i for i, s in enumerate(_map_lattice_sets(G))}
+    ones = [0] * L.n
+    for i, (a, _) in enumerate(G.mdfips or ()):
+        for c in bits(L.up[a]):
+            ones[c] |= 1 << i
+    m = tuple(index.get(s) for s in ones)
+    return m if certified(L.up, M.up, m) else None
 
 
-def roundtrip_digraph(G):
-    """G is isomorphic to the dual digraph of its own map lattice."""
-    from .digraph import digraph_isomorphic
+def _digraph_certificate(G, M, D):
+    """The isomorphism of Theorem 2.6 from G onto D, the dual digraph of
+    M, the map lattice of G: x goes to the MDFIP with the one-sets
+    close({x}) and all but in(x). None unless the map is ``certified``."""
+    index = {s: i for i, s in enumerate(_map_lattice_sets(G))}
+    vertex = {p: j for j, p in enumerate(D.mdfips or ())}
+    rows, cols, full = G.rows, G.cols, (1 << G.v) - 1
+    m = tuple(
+        vertex.get((index.get(_close(rows, cols, 1 << x)), index.get(full & ~cols[x])))
+        for x in range(G.v)
+    )
+    return m if certified(G.rows, D.rows, m) else None
 
-    ok, _ = digraph_isomorphic(G, dual_digraph(mpe_lattice(G)))
-    return ok
+
+def roundtrip_lattice(L, G=None):
+    """L is isomorphic to the map lattice of G, by default its own dual
+    digraph: by the certificate, else by a canonical-form search."""
+    G = dual_digraph(L) if G is None else G
+    M = mpe_lattice(G)
+    return _lattice_certificate(L, G, M) is not None or lattice_isomorphic(L, M)[0]
+
+
+def roundtrip_digraph(G, M=None):
+    """G is isomorphic to the dual digraph of M, by default its own map
+    lattice: by the certificate, else by a canonical-form search."""
+    M = mpe_lattice(G) if M is None else M
+    D = dual_digraph(M)
+    return _digraph_certificate(G, M, D) is not None or digraph_isomorphic(G, D)[0]

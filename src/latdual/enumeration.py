@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _canon
-from ._bits import bits, permute, transpose
+from ._bits import bits, permute, transpose, union
 from .digraph import Digraph, check_tirs
 from .errors import BoundTooLarge
 from .lattice import FiniteLattice, _canonical
@@ -76,15 +76,11 @@ def _semilattice_level(k):
         # candidate down-sets for the new maximal element; every
         # nonempty down-set contains the least element 0
         for d in range(1, 1 << n, 2):
-            ok = True
-            for y in bits(d):
-                if down[y] & ~d:
-                    ok = False
-                    break
-            if not ok:
+            if union(down, d) & ~d:
                 continue
             # the new element must meet every old one: the down-set
             # restricted below x needs a single maximal element
+            ok = True
             for x in range(n):
                 lows = d & down[x]
                 top_count = 0

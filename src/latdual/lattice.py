@@ -36,6 +36,7 @@ from ._bits import (
     permute,
     transpose,
     unclosed_pair,
+    union,
     upper_covers,
 )
 from .errors import EmptyInterval, NoLowerCovers, NotALattice, NotAPartialOrder
@@ -139,7 +140,7 @@ class FiniteLattice:
                     raise NotAPartialOrder(f"elements {i} and {j} form a cycle")
                 extra = up[j] & ~up[i]
                 if extra:
-                    k = next(bits(extra))
+                    k = (extra & -extra).bit_length() - 1
                     raise NotAPartialOrder(
                         f"transitivity fails on {i} <= {j} <= {k}"
                     )
@@ -269,8 +270,7 @@ def from_covers(n, covers, labels=None):
         raise NotAPartialOrder(f"elements {stuck} form a cycle")
     up = [1 << i for i in range(n)]
     for x in reversed(topo):
-        for y in bits(succ[x]):
-            up[x] |= up[y]
+        up[x] |= union(up, succ[x])
     return FiniteLattice(up, labels)
 
 

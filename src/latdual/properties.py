@@ -37,7 +37,7 @@ swapped), jmlsm and jmusm, labc and uabc.
 from __future__ import annotations
 
 from . import digraph as dg
-from ._bits import bits, mask
+from ._bits import bits, mask, union
 from .digraph import PropertyReport, _report
 from .duality import dual_digraph, mdfips
 from .errors import UnknownProperty
@@ -77,10 +77,7 @@ def _semimodular(name, L, side):
     into, onto = (L._lower, L._upper)[side], (L._upper, L._lower)[side]
     cone = (L.up, L.down)[side]
     for a, ca in enumerate(cone):
-        reach = 0
-        for x in bits(into[a]):
-            reach |= cone[x]
-        for b in bits(reach & ~ca):
+        for b in bits(union(cone, into[a]) & ~ca):
             if not onto[b] & ca:
                 return PropertyReport(name, False, (a, b))
     raise _no_witness(name)

@@ -31,8 +31,16 @@ from itertools import product
 
 from ._bits import bits, mask
 from .convexity import cld_lattice, is_zero_closure, lattice_to_convex_geometry, satisfies_aep
-from .digraph import Digraph, _reduction_witness, check_tirs, digraph_isomorphic, digraph_to_json
-from .duality import dual_digraph, mdfips, mdfips_bruteforce, mpe_enumerate, mpe_lattice
+from .digraph import Digraph, _reduction_witness, check_tirs, digraph_to_json
+from .duality import (
+    dual_digraph,
+    map_masks,
+    mdfips,
+    mdfips_bruteforce,
+    mpe_lattice,
+    roundtrip_digraph,
+    roundtrip_lattice,
+)
 from .enumeration import _reflexive_row_options, enumerate_lattices, enumerate_tirs_digraphs
 from .errors import UnknownProperty
 from .lattice import (
@@ -53,8 +61,8 @@ class _Case:
         self._flags = {}
 
     @cached_property
-    def maps(self):
-        return mpe_enumerate(self.digraph)
+    def map_masks(self):
+        return map_masks(self.digraph)
 
     def flag(self, name):
         """A lattice law of the lattice, or a digraph condition of the
@@ -194,34 +202,27 @@ def _lem_2_3(case):
 
 def _prop_2_5(case):
     rep = check_tirs(case.digraph)
-    if rep:
-        return True, None
-    return False, {"witness": list(rep.witness)}
+    return (True, None) if rep else (False, {"witness": list(rep.witness)})
 
 
 def _thm_2_6_lattice(case):
     # the case's own dual digraph, so the round trip builds only its map lattice
-    if lattice_isomorphic(case.lattice, mpe_lattice(case.digraph))[0]:
-        return True, None
-    return False, None
+    return roundtrip_lattice(case.lattice, case.digraph), None
 
 
 def _thm_2_6_digraph(case):
     # the case's own map lattice, so the round trip builds only its dual
-    if digraph_isomorphic(case.digraph, dual_digraph(case.lattice))[0]:
-        return True, None
-    return False, None
+    return roundtrip_digraph(case.digraph, case.lattice), None
 
 
-def _ploscica(maps):
-    sides = [(mask(f.ones), mask(f.zeros)) for f in maps]
-    for i, (f_ones, f_zeros) in enumerate(sides):
-        for j, (g_ones, g_zeros) in enumerate(sides):
+def _ploscica(masks):
+    # masks: the (one-set, zero-set) masks of the maximal maps
+    for f_ones, f_zeros in masks:
+        for g_ones, g_zeros in masks:
             if (not f_ones & ~g_ones) != (not g_zeros & ~f_zeros):
-                f, g = maps[i], maps[j]
                 return False, {
-                    "f": [sorted(f.ones), sorted(f.zeros)],
-                    "g": [sorted(g.ones), sorted(g.zeros)],
+                    "f": [list(bits(f_ones)), list(bits(f_zeros))],
+                    "g": [list(bits(g_ones)), list(bits(g_zeros))],
                 }
     return True, None
 
@@ -272,7 +273,8 @@ def _lem_3_4(case):
                 bad = strict & ~cy
                 if bad:
                     a, b = (x, y) if side else (y, x)
-                    return False, {"part": part, "a": a, "b": b, key: next(bits(bad))}
+                    c = (bad & -bad).bit_length() - 1
+                    return False, {"part": part, "a": a, "b": b, key: c}
     return True, None
 
 
@@ -415,8 +417,8 @@ REGISTRY = (
         "PLOSCICA_LEMMA",
         "between maximal arc-preserving maps, one-set inclusion is "
         "equivalent to reverse zero-set inclusion",
-        lattice_check=lambda case: _ploscica(case.maps),
-        digraph_check=lambda case: _ploscica(case.maps),
+        lattice_check=lambda case: _ploscica(case.map_masks),
+        digraph_check=lambda case: _ploscica(case.map_masks),
     ),
     TheoremRecord(
         "LEM_3_1",

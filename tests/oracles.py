@@ -385,6 +385,21 @@ def fis_witness(rows):
     return None
 
 
+def find_induced(rows, kind):
+    """The triples x < y < z, in order, whose non-loop arcs are none
+    ("G2"), exactly one ("G1"), or exactly the two arcs p -> q -> r of
+    some ordering p, q, r of the three ("G0")."""
+    out = _out_in(rows)[0]
+    found = []
+    for t in combinations(range(len(rows)), 3):
+        arcs = {(p, q) for p in t for q in t if p != q and q in out[p]}
+        paths = [{(p, q), (q, r)} for p, q, r in permutations(t)]
+        shape = "G2" if not arcs else "G1" if len(arcs) == 1 else "G0" if arcs in paths else None
+        if shape == kind:
+            found.append(t)
+    return found
+
+
 def tirs_classes(v):
     """One representative, the least relabelling, of each isomorphism
     class of TiRS digraphs on v vertices."""

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latdual as ld
+import oracles
 from latdual.digraph import Digraph, _interpolation_witness, _reduction_witness
 from oracles import TIRS_AXIOMS, digraph_isomorphic_brute, is_tirs, reflexive_rows
 
@@ -146,6 +147,18 @@ def test_modular_non_fis_dual_has_path_triple():
     G = ld.dual_digraph(ld.fixture("K"))
     assert (1, 2, 6) in ld.find_induced(G, ld.G0)
     assert not ld.check_fis(G)
+
+
+def test_find_induced_matches_its_definition(tirs5):
+    """On every reflexive digraph with 4 vertices and on the TiRS catalog
+    up to 5, each pattern's triples are those of the definitional scan."""
+    seen = set()
+    for G in [Digraph(rows) for rows in reflexive_rows(4)] + list(tirs5):
+        for pattern in (ld.G0, ld.G1, ld.G2):
+            found = ld.find_induced(G, pattern)
+            assert found == oracles.find_induced(G.rows, pattern.id), (G.rows, pattern.id)
+            seen.add((pattern.id, bool(found)))
+    assert seen == {(p, b) for p in ("G0", "G1", "G2") for b in (True, False)}
 
 
 def test_weak_transitivity_matches_pattern_absence():

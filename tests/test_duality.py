@@ -1,9 +1,13 @@
 import random
+from itertools import combinations, permutations, product
 
 import pytest
 
 import latdual as ld
+from latdual import duality
+from latdual._bits import permute
 from latdual.digraph import Digraph
+from latdual.theorems import DigraphCase, LatticeCase, _thm_2_6_digraph, _thm_2_6_lattice
 from oracles import mpe_enumerate_scan, naive_mpe, reflexive_rows
 
 FIXTURES = ("CHAIN(1)", "CHAIN(2)", "CHAIN(3)", "B2", "N5", "M3", "L4", "L4D", "L3D", "K")
@@ -261,3 +265,94 @@ def test_roundtrip_on_wide_lattices():
 def test_roundtrip_digraph_catalog(tirs4):
     for G in tirs4:
         assert ld.roundtrip_digraph(G)
+
+
+# -- the isomorphism that Theorem 2.6 names -----------------------------------
+
+
+def flipped(rows, x, y):
+    rows = list(rows)
+    rows[x] ^= 1 << y
+    return tuple(rows)
+
+
+def isomorphism_verdicts(catalog6, tirs4):
+    """Round trip and THM_2_6 verdicts on both catalogs, on the lattices of
+    catalog6 whose dual has one arc flipped, and on every reflexive
+    digraph with up to 3 vertices."""
+    out = []
+    for L in catalog6.entries:
+        out += [ld.roundtrip_lattice(L), _thm_2_6_lattice(LatticeCase(L))[0]]
+        G = ld.dual_digraph(L)
+        for x, y in permutations(range(G.v), 2):
+            case = LatticeCase(L)
+            case.digraph = Digraph(flipped(G.rows, x, y), mdfips=G.mdfips)
+            out.append(_thm_2_6_lattice(case)[0])
+    small = [Digraph(rows) for v in (1, 2, 3) for rows in reflexive_rows(v)]
+    for G in list(tirs4) + small:
+        out += [ld.roundtrip_digraph(G), _thm_2_6_digraph(DigraphCase(G))[0]]
+    return out
+
+
+def test_the_fallback_alone_gives_the_same_verdicts(catalog6, tirs4, monkeypatch):
+    with_certificate = isomorphism_verdicts(catalog6, tirs4)
+    assert set(with_certificate) == {True, False}
+    monkeypatch.setattr(duality, "_lattice_certificate", lambda *args: None)
+    monkeypatch.setattr(duality, "_digraph_certificate", lambda *args: None)
+    assert isomorphism_verdicts(catalog6, tirs4) == with_certificate
+
+
+def assert_rejects_all_but_isomorphisms(rows1, rows2, m):
+    """m certifies rows1 onto rows2; a repeated or missing image, two
+    elements of rows2 swapped (unless that is an automorphism) and one
+    bit of rows2 flipped are rejected. Returns the rejected swaps."""
+    n = len(rows2)
+    assert duality.certified(rows1, rows2, m)
+    assert not duality.certified(rows1, rows2, m[:-1])
+    if n > 1:
+        assert not duality.certified(rows1, rows2, (m[1],) + m[1:])
+    rejected = 0
+    for i, j in combinations(range(n), 2):
+        swap = list(range(n))
+        swap[i], swap[j] = j, i
+        target = permute(rows2, swap)
+        assert duality.certified(rows1, target, m) == (target == rows2)
+        rejected += target != rows2
+    for x, y in product(range(n), repeat=2):
+        assert not duality.certified(rows1, flipped(rows2, x, y), m)
+    return rejected
+
+
+def test_the_row_check_rejects_all_but_isomorphisms(catalog6, tirs4):
+    rejected = 0
+    for L in catalog6.entries:
+        G = ld.dual_digraph(L)
+        M = ld.mpe_lattice(G)
+        rejected += assert_rejects_all_but_isomorphisms(
+            L.up, M.up, duality._lattice_certificate(L, G, M))
+    for G in tirs4:
+        M = ld.mpe_lattice(G)
+        D = ld.dual_digraph(M)
+        rejected += assert_rejects_all_but_isomorphisms(
+            G.rows, D.rows, duality._digraph_certificate(G, M, D))
+    assert rejected
+
+
+def test_the_named_isomorphism_decides_every_small_case(catalog7, tirs5):
+    for L in catalog7.entries:
+        G = ld.dual_digraph(L)
+        assert duality._lattice_certificate(L, G, ld.mpe_lattice(G)) is not None
+    for G in tirs5:
+        M = ld.mpe_lattice(G)
+        assert duality._digraph_certificate(G, M, ld.dual_digraph(M)) is not None
+    # on every reflexive digraph with up to 4 vertices, TiRS or not, it is
+    # found exactly when the canonical search succeeds
+    found = set()
+    for rows in (rows for v in (1, 2, 3, 4) for rows in reflexive_rows(v)):
+        G = Digraph(rows)
+        M = ld.mpe_lattice(G)
+        D = ld.dual_digraph(M)
+        certificate = duality._digraph_certificate(G, M, D)
+        assert (certificate is not None) == ld.digraph_isomorphic(G, D)[0], rows
+        found.add(certificate is not None)
+    assert found == {True, False}

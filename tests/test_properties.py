@@ -439,6 +439,15 @@ def test_digraph_deciders_match_oracles_on_every_small_digraph():
     assert ("tirs", False) in seen
 
 
+def test_digraph_deciders_match_oracles_on_every_digraph_with_four_vertices():
+    """All 4,096 reflexive digraphs on 4 vertices: the induced-triple masks
+    of fis meet every triple shape beside a fourth vertex."""
+    seen = set()
+    for rows in oracles.reflexive_rows(4):
+        seen |= set(_assert_digraph_reports_match_oracles(ld.Digraph(rows), rows).items())
+    assert seen == {(p, v) for p in DIGRAPH_WITNESS_ORACLES for v in (True, False)}
+
+
 @st.composite
 def reflexive_digraphs(draw):
     """A reflexive digraph on up to 7 vertices."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import latdual as ld
 import oracles
 from latdual import properties, theorems
-from latdual._bits import permute
+from latdual._bits import bits, permute
 from latdual.digraph import Digraph
 from latdual.duality import PartialTwoMap
 from latdual.lattice import FiniteLattice
@@ -25,8 +25,8 @@ LATTICE_SIDE = {
     "LEM_2_3": (theorems._lem_2_3, oracles.lem_2_3),
     "THM_2_6": (theorems._thm_2_6_lattice, oracles.thm_2_6_lattice),
     "PLOSCICA_LEMMA": (
-        lambda case: theorems._ploscica(case.maps),
-        lambda case: oracles.ploscica(case.maps),
+        lambda case: theorems._ploscica(case.map_masks),
+        lambda case: oracles.ploscica(as_maps(case.map_masks)),
     ),
     "LEM_3_1": (theorems._lem_3_1, oracles.lem_3_1),
     "THM_3_2": (theorems._thm_3_2, oracles.thm_3_2),
@@ -34,6 +34,11 @@ LATTICE_SIDE = {
     "LEM_3_5": (theorems._lem_3_5, oracles.lem_3_5),
     "LEM_5_1": (theorems._lem_5_1, oracles.lem_5_1),
 }
+
+def as_maps(masks):
+    # the (one-set, zero-set) masks the check reads, as the maps the oracle reads
+    return [PartialTwoMap(frozenset(bits(u)), frozenset(bits(z))) for u, z in masks]
+
 
 # decider -> earlier witness scan
 DECIDERS = {
@@ -88,7 +93,7 @@ def test_digraph_side_checks_match_their_earlier_bodies(tirs4):
         case = DigraphCase(G)
         assert theorems._thm_2_6_digraph(case) == oracles.thm_2_6_digraph(case)
         assert theorems._thm_2_6_digraph(case) == (ld.roundtrip_digraph(G), None)
-        assert theorems._ploscica(case.maps) == oracles.ploscica(case.maps)
+        assert theorems._ploscica(case.map_masks) == oracles.ploscica(ld.mpe_enumerate(G))
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,14 +167,12 @@ def test_checks_agree_on_altered_maps(catalog6, tirs4):
     failed = {"PLOSCICA_LEMMA": 0}
     cases = [LatticeCase(L) for L in catalog6.entries] + [DigraphCase(G) for G in tirs4]
     for base in cases:
-        for i, f in enumerate(base.maps):
+        masks = base.map_masks
+        for i, (ones, zeros) in enumerate(masks):
             # one vertex fewer in the zero-set, or in the one-set
-            for ones, zeros in (
-                (f.ones, f.zeros - {min(f.zeros, default=0)}),
-                (f.ones - {min(f.ones, default=0)}, f.zeros),
-            ):
+            for altered in ((ones, zeros & (zeros - 1)), (ones & (ones - 1), zeros)):
                 case = LatticeCase(base.lattice)
-                case.maps = base.maps[:i] + [PartialTwoMap(ones, zeros)] + base.maps[i + 1 :]
+                case.map_masks = masks[:i] + [altered] + masks[i + 1 :]
                 agree(case, failed)
     assert failed["PLOSCICA_LEMMA"], failed
 
