@@ -152,4 +152,11 @@ def closure_to_json(C):
 def closure_from_json(obj):
     if not isinstance(obj, dict) or "ground" not in obj or "closed" not in obj:
         raise ValueError('closure JSON needs keys "ground" and "closed"')
-    return ClosureSystem.from_sets(obj["ground"], obj["closed"])
+    ground, closed = obj["ground"], obj["closed"]
+    if type(ground) is not int or ground < 0:
+        raise ValueError(f'"ground" must be a nonnegative integer, not {ground!r}')
+    if not isinstance(closed, list) or not all(
+        isinstance(s, list) and all(type(x) is int and x >= 0 for x in s) for s in closed
+    ):
+        raise ValueError('"closed" must be a list of lists of nonnegative integers')
+    return ClosureSystem.from_sets(ground, closed)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from . import _canon
 from ._bits import bits, json_pairs, transpose, union
-from .errors import NotReflexive
+from .errors import NotReflexive, UnknownProperty
 
 
 @dataclass(frozen=True)
@@ -266,10 +266,12 @@ def _third_vertices(G):
 
 
 def find_induced(G, pattern):
-    """All vertex triples inducing the pattern, sorted, as (x, y, z) with x < y < z."""
+    """All triples inducing G0, G1 or G2 (or its name), sorted, as (x, y, z), x < y < z."""
     want = pattern.id if isinstance(pattern, ForbiddenPattern) else str(pattern)
     k = {"G0": 2, "G1": 3, "G2": 4}.get(want)
-    return [] if k is None else [(t[0], t[1], z) for t in _third_vertices(G) for z in bits(t[k])]
+    if k is None:
+        raise UnknownProperty(f"no forbidden pattern named {want!r}")
+    return [(t[0], t[1], z) for t in _third_vertices(G) for z in bits(t[k])]
 
 
 def check_fis(G):

@@ -3,12 +3,13 @@ one representative per isomorphism class.
 
 Meet semilattices are generated levelwise: a semilattice with a naturally
 labelled order (the labelling is a linear extension) grows by one new
-maximal element placed above a down-set, subject to the new element
-having a meet with everything. Removing a maximal element from any such
-semilattice lands back in the previous level, so the sweep is complete;
-canonical forms collapse labellings. A lattice on n elements is a meet
-semilattice on n - 1 elements with a top adjoined, and adjoining a top
-to a meet semilattice always gives a lattice.
+maximal element placed above a down-set d, subject to the new element
+having a meet with every x: d & down[x] must be some element's down row.
+Removing a maximal element from any such semilattice lands back in the
+previous level, so the sweep is complete; canonical forms collapse
+labellings. A lattice on n elements is a meet semilattice on n - 1
+elements with a top adjoined, and adjoining a top to a meet semilattice
+always gives a lattice.
 
 Digraphs are found by a depth-first assignment of reflexive rows that
 makes three cuts before the full axiom check, in the spirit of McKay's
@@ -28,7 +29,8 @@ generator.
 
 Canonical forms of these rows, digraphs and semilattice orders alike, get
 a constant seed: the first refinement round already splits the vertices
-by (out-degree, in-degree), so degree seeds would only repeat it.
+by (out-degree, in-degree), so degree seeds would only repeat it. They
+are not memoised, as a row tuple almost never comes up twice.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class LatticeCatalog:
         return out
 
 
-_canonical_form = lru_cache(maxsize=None)(_canon.canonical_form)
+_canonical_form = _canon.canonical_form
 
 
 @lru_cache(maxsize=None)
@@ -73,26 +75,14 @@ def _semilattice_level(k):
     for rows in _semilattice_level(k - 1):
         n = k - 1
         down = transpose(rows)
+        principal = set(down)
         # candidate down-sets for the new maximal element; every
         # nonempty down-set contains the least element 0
         for d in range(1, 1 << n, 2):
             if union(down, d) & ~d:
                 continue
-            # the new element must meet every old one: the down-set
-            # restricted below x needs a single maximal element
-            ok = True
-            for x in range(n):
-                lows = d & down[x]
-                top_count = 0
-                for m in bits(lows):
-                    if rows[m] & lows == 1 << m:
-                        top_count += 1
-                        if top_count > 1:
-                            break
-                if top_count != 1:
-                    ok = False
-                    break
-            if not ok:
+            # the new element meets x iff d & down[x] is a down row
+            if any(d & dx not in principal for dx in down):
                 continue
             new_rows = [rows[i] | (1 << n if d >> i & 1 else 0) for i in range(n)]
             new_rows.append(1 << n)

@@ -6,7 +6,8 @@ Conventions used throughout the package:
     - The order relation is stored as one bitmask per element: bit j of
       ``up[i]`` is set iff i <= j, bit i of ``down[j]`` is set iff i <= j.
     - Construction validates the order by one sweep per element
-      (``_bits.upper_covers``), which also yields the upper covers.
+      (``_bits.upper_covers``), which also yields the upper cover rows
+      ``_upper``: with their converse ``_lower``, the only cover data kept.
       Only a rejection runs the pairwise scan, which names the fault.
     - Every pair must have a meet and a join. ``FiniteLattice(up)``
       checks this by a unique top and the intersection closure of the
@@ -190,23 +191,18 @@ class FiniteLattice:
         return transpose(self._upper)
 
     @cached_property
-    def _cover_lists(self):
-        sides = (self._lower, self._upper)
-        return tuple(tuple(tuple(bits(row)) for row in rows) for rows in sides)
-
-    @cached_property
     def _irreducibles(self):
         # (join irreducibles, meet irreducibles): one lower or upper cover
         return tuple(
-            tuple(a for a, cs in enumerate(side) if len(cs) == 1)
-            for side in self._cover_lists
+            tuple(a for a, row in enumerate(rows) if row.bit_count() == 1)
+            for rows in (self._lower, self._upper)
         )
 
     def lower_covers(self, a):
-        return self._cover_lists[0][a]
+        return tuple(bits(self._lower[a]))
 
     def upper_covers(self, a):
-        return self._cover_lists[1][a]
+        return tuple(bits(self._upper[a]))
 
     @cached_property
     def heights(self):
@@ -214,7 +210,7 @@ class FiniteLattice:
         order = sorted(range(self.n), key=lambda i: self.down[i].bit_count())
         h = [0] * self.n
         for x in order:
-            for c in self.lower_covers(x):
+            for c in bits(self._lower[x]):
                 h[x] = max(h[x], h[c] + 1)
         return tuple(h)
 
@@ -276,13 +272,13 @@ def from_covers(n, covers, labels=None):
 
 def join_irreducibles(L):
     """Elements with exactly one lower cover, as a sorted tuple, found
-    once per lattice from its cover lists and kept on it."""
+    once per lattice from its cover rows and kept on it."""
     return L._irreducibles[0]
 
 
 def meet_irreducibles(L):
     """Elements with exactly one upper cover, as a sorted tuple, found
-    once per lattice from its cover lists and kept on it."""
+    once per lattice from its cover rows and kept on it."""
     return L._irreducibles[1]
 
 
@@ -292,11 +288,10 @@ def mu(L, a):
     Read off the down rows: the meet is the element whose down row is
     the AND of the lower covers' down rows, so no table is built.
     """
-    covers = L.lower_covers(a)
-    if not covers:
+    if not L._lower[a]:
         raise NoLowerCovers(f"element {a} is the bottom and has no lower covers")
-    row = L.down[covers[0]]
-    for c in covers[1:]:
+    row = L.down[a]
+    for c in bits(L._lower[a]):
         row &= L.down[c]
     return L._down_index[row]
 
@@ -305,21 +300,16 @@ def interval(L, a, b):
     """The sublattice [a, b] as a lattice of its own.
 
     Elements are reindexed in increasing order of their original index and
-    labels follow along. Raises EmptyInterval unless a <= b.
+    labels follow along. Element e is the set ``down[e] & up[a] & down[b]``:
+    inclusion orders these as the elements, and two meet in that of e^f.
+    Raises EmptyInterval unless a <= b.
     """
     if not L.leq(a, b):
         raise EmptyInterval(f"interval [{a}, {b}] is empty because {a} <= {b} fails")
-    mask = L.up[a] & L.down[b]
-    elems = list(bits(mask))
-    pos = {e: i for i, e in enumerate(elems)}
-    up = []
-    for e in elems:
-        row = 0
-        for f in bits(L.up[e] & mask):
-            row |= 1 << pos[f]
-        up.append(row)
+    seg = L.up[a] & L.down[b]
+    elems = tuple(bits(seg))
     labels = tuple(L.label_of(e) for e in elems) if L.labels else None
-    return FiniteLattice(up, labels)
+    return FiniteLattice.of_sets([L.down[e] & seg for e in elems], labels)
 
 
 def order_dual(L):
@@ -329,8 +319,8 @@ def order_dual(L):
 
 def _invariants(L):
     return tuple(
-        (L.heights[i], len(L.lower_covers(i)), len(L.upper_covers(i)))
-        for i in range(L.n)
+        (h, lower.bit_count(), upper.bit_count())
+        for h, lower, upper in zip(L.heights, L._lower, L._upper)
     )
 
 

@@ -41,7 +41,7 @@ from ._bits import bits, mask, union
 from .digraph import PropertyReport, _report
 from .duality import dual_digraph, mdfips
 from .errors import UnknownProperty
-from .lattice import join_irreducibles, meet_irreducibles, mu
+from .lattice import join_irreducibles, meet_irreducibles
 
 
 def _no_witness(name):
@@ -53,7 +53,8 @@ def _covers_have_covers(L, side):
     cover (side 0); any two distinct lower covers a common lower cover
     (side 1)."""
     rows = (L._upper, L._lower)[side]
-    for covers in L._cover_lists[1 - side]:
+    for cover_row in rows:
+        covers = tuple(bits(cover_row))
         for i, a in enumerate(covers):
             row = rows[a]
             for b in covers[i + 1 :]:
@@ -392,14 +393,17 @@ def is_meet_distributive(L):
     per member instead of a table lookup per pair of members.
     """
     up, down = L.up, L.down
-    for a in range(L.n):
-        covers = L.lower_covers(a)
+    for a, covers in enumerate(L._lower):
         if not covers:
             continue
-        seg = up[mu(L, a)] & down[a]
-        boolean = seg.bit_count() == 1 << len(covers)
+        # one walk of the lower covers gives the coatoms and mu(a)
+        coatoms = [(1 << p, down[p]) for p in bits(covers)]
+        low = down[a]
+        for _, row in coatoms:
+            low &= row
+        seg = up[L._down_index[low]] & down[a]
+        boolean = seg.bit_count() == 1 << len(coatoms)
         if boolean:
-            coatoms = [(1 << p, down[p]) for p in covers]
             for x in bits(seg):
                 ux, outside = up[x], 0
                 for bit, row in coatoms:

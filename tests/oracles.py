@@ -186,6 +186,22 @@ def is_lattice(rows):
     return n > 0
 
 
+def is_meet_semilattice(rows):
+    """A nonempty partial order in which every pair has a greatest common
+    lower bound, bound by bound."""
+    n = len(rows)
+
+    def le(i, j):
+        return bool(rows[i] >> j & 1)
+
+    for a in range(n):
+        for b in range(n):
+            lower = [x for x in range(n) if le(x, a) and le(x, b)]
+            if not any(all(le(x, g) for x in lower) for g in lower):
+                return False
+    return n > 0
+
+
 def cover_pairs(rows):
     """Pairs (a, b), a < b in the order with nothing strictly between,
     sorted."""

@@ -184,6 +184,31 @@ def test_geometry_is_the_join_irreducibles_below_each_element(catalog7, convex95
     assert len(lattices) == 22  # meet-distributive classes with n <= 7
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([2, [[0, 1]]], "needs keys"),
+        ({"ground": 2, "closed": 5}, '"closed" must be a list'),
+        ({"ground": 2, "closed": [[0, "1"]]}, '"closed" must be a list'),
+        ({"ground": 2, "closed": [[-1]]}, '"closed" must be a list'),
+        ({"ground": 2, "closed": [0, [0, 1]]}, '"closed" must be a list'),
+        ({"ground": 2.7, "closed": [[0, 1]]}, '"ground" must be'),
+        ({"ground": True, "closed": [[0]]}, '"ground" must be'),
+        ({"ground": "2", "closed": [[0, 1]]}, '"ground" must be'),
+        ({"ground": -1, "closed": [[]]}, '"ground" must be'),
+        ({"ground": 2, "closed": [[0, 2]]}, "leaves the ground set"),
+    ],
+    ids=[
+        "not-an-object", "closed-int", "string-point", "negative-point",
+        "set-not-a-list", "ground-float", "ground-bool", "ground-string", "ground-negative",
+        "point-outside",
+    ],
+)
+def test_closure_json_rejects_malformed_shapes(obj, message):
+    with pytest.raises(ValueError, match=message):
+        closure_from_json(obj)
+
+
 def test_json_roundtrip():
     for C in (powerset_system(3), interval_system(4),
               lattice_to_convex_geometry(ld.fixture("L4D"))):

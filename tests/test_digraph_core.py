@@ -143,6 +143,15 @@ def test_find_induced_on_diamond_dual():
     assert ld.check_fis(G)
 
 
+def test_find_induced_takes_pattern_names_and_rejects_others():
+    G = ld.dual_digraph(ld.fixture("L3D"))
+    for pattern in (ld.G0, ld.G1, ld.G2):
+        assert ld.find_induced(G, pattern.id) == ld.find_induced(G, pattern)
+    for name in ("G3", "g0", "", 0):
+        with pytest.raises(ld.UnknownProperty):
+            ld.find_induced(G, name)
+
+
 def test_modular_non_fis_dual_has_path_triple():
     G = ld.dual_digraph(ld.fixture("K"))
     assert (1, 2, 6) in ld.find_induced(G, ld.G0)

@@ -1,12 +1,14 @@
 import pytest
 
 import latdual as ld
+from latdual import _canon
 from latdual import enumeration as en
 from latdual.enumeration import MAX_LATTICE_N, MAX_TIRS_V
 from oracles import (
     bits,
     count_lattice_classes,
     digraph_isomorphic_brute,
+    is_meet_semilattice,
     lattice_isomorphic_brute,
     reflexive_rows,
     relabel_rows,
@@ -78,6 +80,32 @@ def test_lattice_bound_errors():
         ld.enumerate_lattices(0)
     with pytest.raises(ld.BoundTooLarge):
         ld.enumerate_lattices(MAX_LATTICE_N + 1)
+
+
+def test_semilattice_extensions_match_the_definition():
+    """For every down-set d of every representative on k <= 6 elements,
+    the order with a new maximal element above d is a meet semilattice by
+    definition iff its class is in level k + 1; those classes make up the
+    level."""
+    verdicts = set()
+    for k in range(1, 7):
+        level = {_canon.canonical_form(rows, (0,) * (k + 1))[0] for rows in en._semilattice_level(k + 1)}
+        found = set()
+        for rows in en._semilattice_level(k):
+            for d in range(1 << k):
+                # d is a down-set: whatever lies below a member is a member
+                if any(d >> i & 1 and not d >> j & 1 for i in range(k) for j in range(k) if rows[j] >> i & 1):
+                    continue
+                new = tuple(row | (d >> i & 1) << k for i, row in enumerate(rows)) + (1 << k,)
+                key = _canon.canonical_form(new, (0,) * (k + 1))[0]
+                ok = is_meet_semilattice(new)
+                assert (key in level) == ok, (rows, d)
+                verdicts.add((bool(d), ok))
+                if ok:
+                    found.add(key)
+        assert found == level
+    # the empty down-set fails, and nonempty ones both pass and fail
+    assert verdicts == {(False, False), (True, False), (True, True)}
 
 
 def test_determinism_under_cache_reset(catalog5):

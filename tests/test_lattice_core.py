@@ -122,6 +122,26 @@ def test_interval_single_point():
     assert ld.interval(N5, 2, 2).n == 1
 
 
+def test_interval_is_the_restriction_of_the_order(catalog6):
+    """Every [a, b] of every lattice with n <= 6, labelled and not, is the
+    order restricted to the elements between a and b, in index order."""
+    for L in catalog6.entries:
+        named = FiniteLattice(L.up, [f"e{i}" for i in range(L.n)])
+        for M in (L, named):
+            for a in range(L.n):
+                for b in range(L.n):
+                    if not L.leq(a, b):
+                        with pytest.raises(ld.EmptyInterval):
+                            ld.interval(M, a, b)
+                        continue
+                    elems = [x for x in range(L.n) if L.leq(a, x) and L.leq(x, b)]
+                    I = ld.interval(M, a, b)
+                    assert I.up == tuple(
+                        sum(1 << j for j, f in enumerate(elems) if L.leq(e, f)) for e in elems
+                    )
+                    assert I.labels == (tuple(f"e{x}" for x in elems) if M is named else None)
+
+
 def test_interval_empty_raises():
     with pytest.raises(ld.EmptyInterval):
         ld.interval(ld.fixture("N5"), 1, 2)
@@ -132,11 +152,25 @@ def test_order_dual_involution(catalog5):
         assert ld.order_dual(ld.order_dual(L)) == L
 
 
-def test_order_dual_swaps_irreducibles():
+def test_order_dual_swaps_irreducibles(catalog7):
     L4 = ld.fixture("L4")
     D = ld.order_dual(L4)
     assert set(ld.join_irreducibles(D)) == set(ld.meet_irreducibles(L4))
     assert set(ld.meet_irreducibles(D)) == set(ld.join_irreducibles(L4))
+    # covers and irreducibles of every lattice with n <= 7 and of its dual
+    # against the definitional cover pairs
+    for L in catalog7.entries:
+        D = ld.order_dual(L)
+        for M in (L, D):
+            pairs = cover_pairs(M.up)
+            lower = [tuple(a for a, b in pairs if b == x) for x in range(M.n)]
+            upper = [tuple(b for a, b in pairs if a == x) for x in range(M.n)]
+            assert [M.lower_covers(x) for x in range(M.n)] == lower
+            assert [M.upper_covers(x) for x in range(M.n)] == upper
+            assert ld.join_irreducibles(M) == tuple(x for x in range(M.n) if len(lower[x]) == 1)
+            assert ld.meet_irreducibles(M) == tuple(x for x in range(M.n) if len(upper[x]) == 1)
+        assert ld.join_irreducibles(D) == ld.meet_irreducibles(L)
+        assert ld.meet_irreducibles(D) == ld.join_irreducibles(L)
 
 
 def test_hexagons_are_mutually_dual():
