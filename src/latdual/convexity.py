@@ -30,14 +30,23 @@ class ClosureSystem:
     """Intersection-closed set family containing its ground set."""
 
     def __init__(self, ground, closed):
-        self.ground = int(ground)
-        if self.ground < 0:
+        # bool is an int subclass, and True would pass for the mask 1
+        if type(ground) is not int:
+            raise TypeError(f"ground size must be an int, not {ground!r}")
+        if ground < 0:
             raise ValueError("ground size must be nonnegative")
-        full = (1 << self.ground) - 1
-        masks = sorted(set(int(m) for m in closed), key=lambda m: (m.bit_count(), m))
-        for m in masks:
+        self.ground = ground
+        full = (1 << ground) - 1
+        masks = set()
+        for m in closed:
+            if type(m) is not int:
+                raise TypeError(f"closed set mask must be an int, not {m!r}")
+            if m < 0:
+                raise ValueError(f"closed set mask {m} is negative")
             if m & ~full:
                 raise ValueError(f"closed set {sorted(bits(m))} leaves the ground set")
+            masks.add(m)
+        masks = sorted(masks, key=lambda m: (m.bit_count(), m))
         if full not in masks:
             raise ValueError("the ground set itself must be closed")
         if not intersection_closed(masks, upper_covers(*inclusion(masks))):

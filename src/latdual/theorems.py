@@ -21,10 +21,21 @@ and "some x with ..." is one row expression, such as
 That changes how a check computes, never what it tests or reports. The
 derived data of a case (dual digraph, MDFIPs, maps, map lattice) is
 built once and shared by every statement.
+
+The campaign runs in two processes, one per catalog, as the catalogs
+share no data: a child made by ``os.fork`` runs the digraph side (the
+TiRS catalog and the THM_4_10 reflexive scan) while the calling process
+runs the lattice side. Each side is case-major: it visits each case
+once, runs every record's check and non-converse test on it, and drops
+it, so a case's derived data lives only while the case is visited. The
+per-record parts are merged into the registry order of the report, each
+record's counterexamples and witnesses in case order, lattice side
+first.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product
@@ -595,57 +606,131 @@ REGISTRY = (
 REGISTRY_IDS = tuple(rec.id for rec in REGISTRY)
 
 
+def _sweep(domain, cases, checks, implications):
+    """Visit each case once: run every record's check on it, then the
+    non-converse test of every implication, then drop the case.
+
+    ``checks`` maps a record id to its check of one case, and
+    ``implications`` a record id to its (hyps, concs). Returns record id
+    -> [(domain, checked, counterexamples, non-converse witnesses)],
+    each list in case order.
+    """
+    cexs = {rid: [] for rid in checks}
+    ncw = {rid: [] for rid in checks}
+    checked = 0
+    for case in cases:
+        checked += 1
+        for rid, check in checks.items():
+            ok, detail = check(case)
+            if not ok:
+                item = case.describe()
+                if detail is not None:
+                    item["detail"] = detail
+                cexs[rid].append(item)
+        for rid, (hyps, concs) in implications.items():
+            if case.holds(concs) and not case.holds(hyps):
+                ncw[rid].append(case.describe())
+    return {rid: [(domain, checked, cexs[rid], ncw[rid])] for rid in checks}
+
+
+def _lattice_side(max_n):
+    """Every record over the lattice catalog, with the non-converse
+    witnesses of every implication."""
+    checks = {rec.id: rec.lattice_check or rec.flag_check for rec in REGISTRY}
+    implications = {rec.id: rec.implies for rec in REGISTRY if rec.implies}
+    cases = (LatticeCase(L) for L in enumerate_lattices(max_n).entries)
+    return _sweep(f"lattices(n<={max_n})", cases, checks, implications)
+
+
+def _digraph_side(max_v):
+    """The records that run on the digraph catalog, over it, and the
+    scans of their own (the THM_4_10 reflexive scan)."""
+    checks = {
+        rec.id: rec.digraph_check or partial(rec.flag_check, reverse=True)
+        for rec in REGISTRY
+        if rec.digraphs or rec.digraph_check
+    }
+    cases = (DigraphCase(G) for G in enumerate_tirs_digraphs(max_v))
+    parts = _sweep(f"digraphs(v<={max_v})", cases, checks, {})
+    for rec in REGISTRY:
+        if rec.extra_check:
+            checked, cexs = rec.extra_check()
+            parts.setdefault(rec.id, []).append(("reflexive-scan(v<=3)", checked, cexs, []))
+    return parts
+
+
+def _merge(*sides):
+    """One TheoremCheck per record, in registry order, from the parts of
+    each side, taken in the order given."""
+    out = []
+    for rec in REGISTRY:
+        parts = [part for side in sides for part in side.get(rec.id, ())]
+        cexs = [c for _, _, found, _ in parts for c in found]
+        out.append(
+            TheoremCheck(
+                id=rec.id,
+                statement=rec.statement,
+                domain="+".join(domain for domain, _, _, _ in parts),
+                passed=not cexs,
+                checked=sum(checked for _, checked, _, _ in parts),
+                counterexamples=cexs,
+                non_converse_witnesses=[w for _, _, _, ws in parts for w in ws],
+            )
+        )
+    return out
+
+
 def verify_theorems(max_n=7):
     """Run every registry record over the catalogs bounded by max_n.
 
     The digraph catalog bound follows the lattice bound: v <= 5 when
     max_n >= 7, else v <= 4. Returns a list of TheoremCheck in registry
     order; a check passes iff it found no counterexample.
+
+    The two catalogs share no data, so the digraph side runs in a forked
+    child while this process runs the lattice side; the child sends its
+    parts back pickled through a pipe, or the exception it raised, which
+    is raised here again. If this process raises or is interrupted first,
+    it kills the child; either way the child is reaped before returning.
+    Without ``os.fork`` both sides run here, one after the other.
     """
-    catalog = enumerate_lattices(max_n)
     max_v = 5 if max_n >= 7 else 4
-    digs = enumerate_tirs_digraphs(max_v)
-    lcases = [LatticeCase(L) for L in catalog.entries]
-    gcases = [DigraphCase(G) for G in digs]
-    out = []
-    for rec in REGISTRY:
-        sides = [(f"lattices(n<={max_n})", lcases, rec.lattice_check or rec.flag_check)]
-        if rec.digraphs or rec.digraph_check:
-            check = rec.digraph_check or partial(rec.flag_check, reverse=True)
-            sides.append((f"digraphs(v<={max_v})", gcases, check))
-        domains = [domain for domain, _, _ in sides]
-        checked = 0
-        cexs = []
-        for _, cases, check in sides:
-            checked += len(cases)
-            for case in cases:
-                ok, detail = check(case)
-                if not ok:
-                    item = case.describe()
-                    if detail is not None:
-                        item["detail"] = detail
-                    cexs.append(item)
-        if rec.extra_check:
-            domains.append("reflexive-scan(v<=3)")
-            extra_checked, extra_cexs = rec.extra_check()
-            checked += extra_checked
-            cexs.extend(extra_cexs)
-        ncw = []
-        if rec.implies:
-            hyps, concs = rec.implies
-            ncw = [c.describe() for c in lcases if c.holds(concs) and not c.holds(hyps)]
-        out.append(
-            TheoremCheck(
-                id=rec.id,
-                statement=rec.statement,
-                domain="+".join(domains),
-                passed=not cexs,
-                checked=checked,
-                counterexamples=cexs,
-                non_converse_witnesses=ncw,
-            )
-        )
-    return out
+    if not hasattr(os, "fork"):
+        return _merge(_lattice_side(max_n), _digraph_side(max_v))
+    import pickle
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                payload = (True, _digraph_side(max_v))
+            except BaseException as exc:
+                payload = (False, exc)
+            with os.fdopen(w, "wb") as fh:
+                pickle.dump(payload, fh)
+        finally:
+            os._exit(0)
+    os.close(w)
+    with os.fdopen(r, "rb") as fh:
+        try:
+            lattices = _lattice_side(max_n)
+            data = fh.read()
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"the digraph side sent no result (exit code {code})")
+    ok, digraphs = pickle.loads(data)
+    if not ok:
+        raise digraphs
+    return _merge(lattices, digraphs)
 
 
 def report_to_json(checks):

@@ -41,6 +41,31 @@ def test_construction_rejects_bad_families():
         ClosureSystem(2, [0b100, 0b11])  # element outside the ground set
 
 
+@pytest.mark.parametrize(
+    "ground, closed, error, message",
+    [
+        (2.7, [3], TypeError, "ground size must be an int, not 2.7"),
+        (True, [1], TypeError, "ground size must be an int, not True"),
+        ("2", [3], TypeError, "ground size must be an int, not '2'"),
+        (-1, [0], ValueError, "ground size must be nonnegative"),
+        (2, [3, 1.9], TypeError, "closed set mask must be an int, not 1.9"),
+        (2, [3, True], TypeError, "closed set mask must be an int, not True"),
+        (2, [3, 1, True], TypeError, "closed set mask must be an int, not True"),
+        (2, [3, "1"], TypeError, "closed set mask must be an int, not '1'"),
+        (2, [-1, 3], ValueError, "closed set mask -1 is negative"),
+        (2, [3, -4], ValueError, "closed set mask -4 is negative"),
+    ],
+    ids=[
+        "ground-float", "ground-bool", "ground-string", "ground-negative", "mask-float",
+        "mask-bool", "mask-bool-beside-its-int", "mask-string", "mask-minus-one", "mask-negative",
+    ],
+)
+def test_construction_rejects_masks_that_are_not_nonnegative_ints(ground, closed, error, message):
+    with pytest.raises(error) as info:
+        ClosureSystem(ground, closed)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_closure_operator():
     I = interval_system(3)
     assert closure_of(I, [0, 2]) == {0, 1, 2}

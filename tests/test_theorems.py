@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -162,10 +165,22 @@ def test_the_definitional_pairs_are_enumerated_once_per_lattice(monkeypatch):
     assert len(calls) == len(set(map(id, calls))) == checks["THM_3_2"].checked == 25
 
 
+def _both_sides_here(counted):
+    """Run the two sides of verify_theorems(6) in this process, one after
+    the other, so that a patch here sees the digraph side's calls too.
+    Returns how many entries ``counted`` held after the lattice side, and
+    the merged checks by id."""
+    lattices = theorems._lattice_side(6)
+    on_lattices = len(counted)
+    checks = theorems._merge(lattices, theorems._digraph_side(4))
+    return on_lattices, {c.id: c for c in checks}
+
+
 def test_the_maximal_pairs_are_found_once_per_lattice(monkeypatch):
     """Every lattice the campaign meets, from the catalog or as a map
     lattice, has its MDFIPs computed once, though the pair list, the
-    dual digraph, labc and uabc all ask for them."""
+    dual digraph, labc and uabc all ask for them. Both sides run here,
+    as verify_theorems runs the digraph side in a child process."""
     runs = []
 
     def counting(L):
@@ -177,17 +192,21 @@ def test_the_maximal_pairs_are_found_once_per_lattice(monkeypatch):
     for L in ld.enumerate_lattices(6).entries:
         # catalog lattices are shared, and earlier callers may have filled this
         vars(L).pop("_mdfips", None)
-    checks = {c.id: c for c in ld.verify_theorems(max_n=6)}
+    on_lattices, checks = _both_sides_here(runs)
     assert len(runs) == len(set(map(id, runs)))
-    # 25 catalog lattices, the map lattices of 41 catalog digraphs, and
-    # those of the 23 digraphs of the THM_4_10 scan
+    # 25 catalog lattices on the lattice side; on the digraph side the map
+    # lattices of 41 catalog digraphs and of the 23 digraphs of the
+    # THM_4_10 scan
+    assert (on_lattices, len(runs) - on_lattices) == (25, 64)
     assert len(runs) == checks["THM_4_10"].checked == 89
 
 
 def test_the_map_one_sets_are_swept_once_per_digraph(monkeypatch):
     """Every digraph the campaign meets, a lattice's dual or from a
     catalog, has its NextClosure sweep run once, though its maps
-    (PLOSCICA_LEMMA) and its map lattice (THM_2_6) both read it."""
+    (PLOSCICA_LEMMA) and its map lattice (THM_2_6) both read it. Both
+    sides run here, as verify_theorems runs the digraph side in a child
+    process."""
     runs = []
 
     def counting(G):
@@ -199,10 +218,11 @@ def test_the_map_one_sets_are_swept_once_per_digraph(monkeypatch):
     for G in ld.enumerate_tirs_digraphs(4):
         # catalog digraphs are shared, and earlier callers may have filled this
         vars(G).pop("_one_sets", None)
-    checks = {c.id: c for c in ld.verify_theorems(max_n=6)}
+    on_lattices, checks = _both_sides_here(runs)
     assert len(runs) == len(set(map(id, runs)))
-    # the duals of 25 catalog lattices, 41 catalog digraphs, and the 23
-    # digraphs of the THM_4_10 scan
+    # the duals of 25 catalog lattices on the lattice side; on the digraph
+    # side 41 catalog digraphs and the 23 digraphs of the THM_4_10 scan
+    assert (on_lattices, len(runs) - on_lattices) == (25, 64)
     assert len(runs) == checks["PLOSCICA_LEMMA"].checked + 23 == 89
 
 
@@ -220,6 +240,84 @@ def test_the_scan_builds_one_map_lattice_per_digraph(monkeypatch):
     checked, cexs = theorems._thm_4_10_scan()
     assert (checked, cexs) == (23, [])
     assert len(built) == 23
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the digraph side runs in a child only with os.fork")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_sides_merge_to_the_same_report_wherever_they_run(monkeypatch):
+    """The forked campaign, the two sides run here and merged, and the
+    campaign where os.fork is missing give one report."""
+    forked = ld.report_to_json(ld.verify_theorems(max_n=6))
+    _no_child_left()
+    here = ld.report_to_json(theorems._merge(theorems._lattice_side(6), theorems._digraph_side(4)))
+    monkeypatch.delattr(os, "fork", raising=False)
+    unforked = ld.report_to_json(ld.verify_theorems(max_n=6))
+    assert forked == here == unforked
+    assert [e["checked"] for e in forked["results"].values()] == [
+        EXPECT_AT_6[rid][0] for rid in PINNED_IDS
+    ]
+
+
+@needs_fork
+def test_a_digraph_side_error_reaches_the_caller(monkeypatch):
+    """An error raised in the child, on the digraph side only, is raised
+    again here with its type and message, and the child is reaped."""
+    parent = os.getpid()
+    lti = properties.DIGRAPH_CHECKS["lti"]
+
+    def failing(G):
+        if os.getpid() != parent:
+            raise ld.NotReflexive(f"no lti on {G.v} vertices")
+        return lti(G)
+
+    monkeypatch.setitem(properties.DIGRAPH_CHECKS, "lti", failing)
+    with pytest.raises(ld.NotReflexive) as info:
+        ld.verify_theorems(max_n=4)
+    assert type(info.value) is ld.NotReflexive
+    assert str(info.value) == "no lti on 1 vertices"
+    _no_child_left()
+
+
+@needs_fork
+def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
+    """A child killed before it sends anything gives an error naming how
+    it ended, not a report without the digraph side."""
+    monkeypatch.setattr(theorems, "_digraph_side", lambda max_v: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match=r"^the digraph side sent no result \(exit code -9\)$"):
+        ld.verify_theorems(max_n=4)
+    _no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [ld.NotALattice, KeyboardInterrupt])
+def test_a_lattice_side_error_kills_the_child(monkeypatch, error):
+    """When this process raises, or is interrupted, during the lattice
+    side, it kills the child, here stuck on the digraph side, and reaps
+    it before the error goes on."""
+    parent = os.getpid()
+    lti = properties.DIGRAPH_CHECKS["lti"]
+
+    def stuck(G):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return lti(G)
+
+    def failing(L):
+        raise error(f"no jsd on {L.n} elements")
+
+    monkeypatch.setitem(properties.DIGRAPH_CHECKS, "lti", stuck)
+    monkeypatch.setitem(properties.LATTICE_CHECKS, "jsd", failing)
+    t0 = time.monotonic()
+    with pytest.raises(error, match="^no jsd on 1 elements$"):
+        ld.verify_theorems(max_n=8)
+    assert time.monotonic() - t0 < 30
+    _no_child_left()
 
 
 def _runs(details):
