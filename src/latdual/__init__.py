@@ -23,7 +23,6 @@ from .digraph import (
     G1,
     G2,
     Digraph,
-    ForbiddenPattern,
     PropertyReport,
     check_djsd,
     check_dmsd,

@@ -183,7 +183,7 @@ def main(argv=None):
     args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return COMMANDS[args.command][0](args)
-    except (LatdualError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (LatdualError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

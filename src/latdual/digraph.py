@@ -42,8 +42,9 @@ class PropertyReport:
 class Digraph:
     """Immutable digraph; ``rows[x]`` has bit y set iff there is an arc x -> y.
 
-    ``mdfips`` and ``names`` are optional per-vertex annotations carried
-    along by the duality constructions; they never affect equality.
+    ``mdfips`` and ``names`` are optional annotations with one entry per
+    vertex, carried along by the duality constructions; they never
+    affect equality.
     """
 
     def __init__(self, rows, mdfips=None, names=None):
@@ -53,8 +54,11 @@ class Digraph:
         for x, r in enumerate(self.rows):
             if r & ~full:
                 raise ValueError(f"vertex {x} has arcs outside 0..{self.v - 1}")
-        self.mdfips = tuple(tuple(p) for p in mdfips) if mdfips else None
-        self.names = tuple(names) if names else None
+        self.mdfips = None if mdfips is None else tuple(map(tuple, mdfips))
+        self.names = None if names is None else tuple(names)
+        for key, notes in (("mdfips", self.mdfips), ("names", self.names)):
+            if notes is not None and len(notes) != self.v:
+                raise ValueError(f"{key} annotation length does not match v")
 
     @classmethod
     def from_arcs(cls, v, arcs, mdfips=None, names=None):
@@ -225,17 +229,9 @@ def is_poset(G):
     return PropertyReport("poset", r.holds, r.witness)
 
 
-@dataclass(frozen=True)
-class ForbiddenPattern:
-    """A three-vertex pattern given by its non-loop arcs on x, y, z = 0, 1, 2."""
-
-    id: str
-    arcs: tuple
-
-
-G0 = ForbiddenPattern("G0", ((0, 1), (1, 2)))
-G1 = ForbiddenPattern("G1", ((0, 1),))
-G2 = ForbiddenPattern("G2", ())
+# the induced three-vertex patterns, by name: G0 a path of two one-way
+# arcs, G1 one one-way arc, G2 no arc
+G0, G1, G2 = "G0", "G1", "G2"
 
 
 def _third_vertices(G):
@@ -266,11 +262,10 @@ def _third_vertices(G):
 
 
 def find_induced(G, pattern):
-    """All triples inducing G0, G1 or G2 (or its name), sorted, as (x, y, z), x < y < z."""
-    want = pattern.id if isinstance(pattern, ForbiddenPattern) else str(pattern)
-    k = {"G0": 2, "G1": 3, "G2": 4}.get(want)
-    if k is None:
-        raise UnknownProperty(f"no forbidden pattern named {want!r}")
+    """All triples inducing the pattern named G0, G1 or G2, sorted, as (x, y, z), x < y < z."""
+    if pattern not in (G0, G1, G2):
+        raise UnknownProperty(f"no forbidden pattern named {pattern!r}")
+    k = 2 + (G0, G1, G2).index(pattern)
     return [(t[0], t[1], z) for t in _third_vertices(G) for z in bits(t[k])]
 
 
@@ -342,12 +337,12 @@ def digraph_from_json(obj):
     rows = Digraph.from_arcs(v, json_pairs(obj["arcs"], "arcs")).rows
     added = any(not rows[x] >> x & 1 for x in range(v))
     rows = [row | 1 << x for x, row in enumerate(rows)]
-    mdfips = None
-    names = None
-    if obj.get("mdfips"):
+    mdfips = names = None
+    if obj.get("mdfips") is not None:
         mdfips = json_pairs(obj["mdfips"], "mdfips")
-        if len(mdfips) != v:
-            raise ValueError("mdfips annotation length does not match v")
+        for p in mdfips:
+            if min(p) < 0:
+                raise ValueError(f'"mdfips" entry {list(p)} has a negative generator')
         names = tuple(f"{a}{b}" if a < 10 and b < 10 else f"{a},{b}" for a, b in mdfips)
     return Digraph(rows, mdfips, names), added
 

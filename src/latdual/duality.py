@@ -130,11 +130,12 @@ class PartialTwoMap:
 
 
 def _one_sets(G):
-    """The one-sets of the maximal maps of G, as masks. They are found on
-    the first call for a digraph and kept on it as a tuple."""
+    """The one-sets of the maximal maps of G, as masks, in the element
+    order of ``mpe_lattice``: by (size, mask). They are found and sorted
+    on the first call for a digraph and kept on it as a tuple."""
     sets = vars(G).get("_one_sets")
     if sets is None:
-        sets = G._one_sets = _next_closure(G)
+        sets = G._one_sets = tuple(sorted(_next_closure(G), key=lambda m: (m.bit_count(), m)))
     return sets
 
 
@@ -172,7 +173,7 @@ def _next_closure(G):
                 a = b
                 break
         else:
-            return tuple(sets)
+            return sets
 
 
 def map_masks(G):
@@ -188,11 +189,6 @@ def mpe_enumerate(G):
     return [PartialTwoMap(frozenset(bits(u)), frozenset(bits(z))) for u, z in map_masks(G)]
 
 
-def _map_lattice_sets(G):
-    # the one-sets of the maximal maps in the element order of mpe_lattice
-    return sorted(_one_sets(G), key=lambda m: (m.bit_count(), m))
-
-
 def mpe_lattice(G):
     """The lattice of maximal arc-preserving maps, ordered by one-sets.
 
@@ -202,7 +198,7 @@ def mpe_lattice(G):
     the intersection-closure check of ``FiniteLattice.of_sets``.
     """
     try:
-        return FiniteLattice.of_sets(_map_lattice_sets(G))
+        return FiniteLattice.of_sets(_one_sets(G))
     except NotALattice as exc:
         raise NotALattice(
             f"maximal map family is not a lattice under one-set inclusion: {exc}"
@@ -220,10 +216,14 @@ def certified(rows1, rows2, m):
 def _lattice_certificate(L, G, M):
     """The isomorphism of Theorem 2.6 from L onto M, the map lattice of G,
     a digraph on MDFIPs (a_i, b_i) of L: c goes to one-set {i : a_i <= c}.
-    None unless the map is ``certified``, as when G carries no MDFIPs."""
-    index = {s: i for i, s in enumerate(_map_lattice_sets(G))}
+    None unless the map is ``certified``, as when G carries no MDFIPs or
+    some a_i is not an element of L."""
+    gens = [a for a, _ in G.mdfips or ()]
+    if not all(0 <= a < L.n for a in gens):
+        return None
+    index = {s: i for i, s in enumerate(_one_sets(G))}
     ones = [0] * L.n
-    for i, (a, _) in enumerate(G.mdfips or ()):
+    for i, a in enumerate(gens):
         for c in bits(L.up[a]):
             ones[c] |= 1 << i
     m = tuple(index.get(s) for s in ones)
@@ -234,7 +234,7 @@ def _digraph_certificate(G, M, D):
     """The isomorphism of Theorem 2.6 from G onto D, the dual digraph of
     M, the map lattice of G: x goes to the MDFIP with the one-sets
     close({x}) and all but in(x). None unless the map is ``certified``."""
-    index = {s: i for i, s in enumerate(_map_lattice_sets(G))}
+    index = {s: i for i, s in enumerate(_one_sets(G))}
     vertex = {p: j for j, p in enumerate(D.mdfips or ())}
     rows, cols, full = G.rows, G.cols, (1 << G.v) - 1
     m = tuple(

@@ -233,40 +233,41 @@ def from_covers(n, covers, labels=None):
     """Build a lattice from its cover pairs (a, b) meaning b covers a.
 
     The reflexive transitive closure of the cover relation must be a
-    lattice order. Cycles raise NotAPartialOrder, missing meets or joins
-    raise NotALattice; both errors name offending elements.
+    lattice order. A cycle raises NotAPartialOrder naming a cover (a, b)
+    on it, so that b reaches a; a missing meet or join raises NotALattice
+    naming two elements.
+
+    One depth-first pass closes the rows: a row is closed once the rows
+    of its successors are. A cover into an element still on the current
+    path, a self-cover included, closes a cycle through both its ends.
     """
-    if n < 1:
-        raise NotALattice("a lattice needs at least one element")
     succ = [0] * n
-    pred_count = [0] * n
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
             raise NotAPartialOrder(f"cover ({a}, {b}) is out of range")
-        if a == b:
-            raise NotAPartialOrder(f"elements {a} and {b} form a cycle")
-        if not succ[a] >> b & 1:
-            succ[a] |= 1 << b
-            pred_count[b] += 1
-    # Kahn topological pass; leftovers witness a cycle
-    ready = [i for i in range(n) if pred_count[i] == 0]
-    topo = []
-    while ready:
-        x = ready.pop()
-        topo.append(x)
-        for y in bits(succ[x]):
-            pred_count[y] -= 1
-            if pred_count[y] == 0:
-                ready.append(y)
-    if len(topo) < n:
-        stuck = [i for i in range(n) if pred_count[i] > 0]
-        for a, b in covers:
-            if a in stuck and b in stuck:
-                raise NotAPartialOrder(f"elements {a} and {b} form a cycle")
-        raise NotAPartialOrder(f"elements {stuck} form a cycle")
-    up = [1 << i for i in range(n)]
-    for x in reversed(topo):
-        up[x] |= union(up, succ[x])
+        succ[a] |= 1 << b
+    up = [0] * n  # a closed row holds its own bit, so 0 is not closed yet
+    for root in range(n):
+        if up[root]:
+            continue
+        path, rest, on_path = [root], [succ[root]], 1 << root
+        while path:
+            todo = rest[-1]
+            if not todo:
+                x = path.pop()
+                rest.pop()
+                on_path ^= 1 << x
+                up[x] = union(up, succ[x]) | 1 << x
+                continue
+            low = todo & -todo
+            rest[-1] = todo ^ low
+            b = low.bit_length() - 1
+            if on_path & low:
+                raise NotAPartialOrder(f"elements {path[-1]} and {b} form a cycle")
+            if not up[b]:
+                path.append(b)
+                rest.append(succ[b])
+                on_path |= low
     return FiniteLattice(up, labels)
 
 

@@ -25,12 +25,13 @@ built once and shared by every statement.
 The campaign runs in two processes, one per catalog, as the catalogs
 share no data: a child made by ``os.fork`` runs the digraph side (the
 TiRS catalog and the THM_4_10 reflexive scan) while the calling process
-runs the lattice side. Each side is case-major: it visits each case
-once, runs every record's check and non-converse test on it, and drops
-it, so a case's derived data lives only while the case is visited. The
-per-record parts are merged into the registry order of the report, each
-record's counterexamples and witnesses in case order, lattice side
-first.
+runs the lattice side. Each side is case-major: one loop, ``_sweep``,
+visits each case once, runs every record's check and non-converse test
+on it, and drops it, so a case's derived data lives only while the case
+is visited. The same loop sweeps the THM_4_10 scan, a case source of its
+own record. The per-record parts are merged into the registry order of
+the report, each record's counterexamples and witnesses in case order,
+lattice side first.
 """
 
 from __future__ import annotations
@@ -145,9 +146,10 @@ class TheoremRecord:
     hypothesis fails.
 
     A bespoke statement gives ``lattice_check``/``digraph_check``, each
-    mapping one case to (ok, detail), and ``extra_check``, returning
-    (checked, counterexamples) over a scan of its own. A side with its
-    own check reads no flags.
+    mapping one case to (ok, detail), and ``scan``, a pair of a case
+    source, called with no arguments, and such a check, run over the
+    digraph cases of a scan of its own. A side with its own check reads
+    no flags.
     """
 
     id: str
@@ -157,7 +159,7 @@ class TheoremRecord:
     digraphs: bool = False
     lattice_check: object = None
     digraph_check: object = None
-    extra_check: object = None
+    scan: tuple = None
 
     def flag_check(self, case, reverse=False):
         """The flag statement on one case; ``reverse`` reads an
@@ -363,22 +365,19 @@ def _thm_4_10_lattice(case):
     return True, None
 
 
-def _thm_4_10_scan():
-    # the hypotheses do not presuppose the axiom class, so run them over
-    # every reflexive digraph on up to 3 vertices
-    checked = 0
-    cexs = []
+def _thm_4_10_cases():
+    # the hypotheses do not presuppose the axiom class, so the scan runs
+    # over every reflexive digraph on up to 3 vertices that meets them
     for v in range(1, 4):
         for rows in product(*_reflexive_row_options(v)):
             case = DigraphCase(Digraph(rows))
-            G = case.digraph
-            if not (case.flag("djsd") and case.flag("lti") and _reduction_witness(G) is None):
-                continue
-            checked += 1
-            # md and the round trip read the one map lattice of the case
-            if not (case.flag("tirs") and case.flag("md") and _thm_2_6_digraph(case)[0]):
-                cexs.append({"digraph": digraph_to_json(G), "detail": None})
-    return checked, cexs
+            if case.flag("djsd") and case.flag("lti") and _reduction_witness(case.digraph) is None:
+                yield case
+
+
+def _thm_4_10_conclusion(case):
+    # md and the round trip read the one map lattice of the case
+    return case.flag("tirs") and case.flag("md") and _thm_2_6_digraph(case)[0], None
 
 
 def _thm_4_13(case):
@@ -562,7 +561,7 @@ REGISTRY = (
         iff=(("md",), ("djsd", "lti")),
         digraphs=True,
         lattice_check=_thm_4_10_lattice,
-        extra_check=_thm_4_10_scan,
+        scan=(_thm_4_10_cases, _thm_4_10_conclusion),
     ),
     TheoremRecord(
         "THM_4_13",
@@ -653,9 +652,10 @@ def _digraph_side(max_v):
     cases = (DigraphCase(G) for G in enumerate_tirs_digraphs(max_v))
     parts = _sweep(f"digraphs(v<={max_v})", cases, checks, {})
     for rec in REGISTRY:
-        if rec.extra_check:
-            checked, cexs = rec.extra_check()
-            parts.setdefault(rec.id, []).append(("reflexive-scan(v<=3)", checked, cexs, []))
+        if rec.scan:
+            source, check = rec.scan
+            found = _sweep("reflexive-scan(v<=3)", source(), {rec.id: check}, {})
+            parts.setdefault(rec.id, []).extend(found[rec.id])
     return parts
 
 

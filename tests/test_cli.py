@@ -294,6 +294,10 @@ def test_unsniffable_payload(tmp_path, capsys):
     {"v": 2, "arcs": [[0, 1, 1]]},
     {"v": 2, "arcs": [7]},
     {"v": 2, "arcs": [], "mdfips": 5},
+    {"v": 2, "arcs": [], "mdfips": []},
+    {"v": 2, "arcs": [], "mdfips": [[0, 1]]},
+    {"v": 2, "arcs": [], "mdfips": [[0, -5], [1, 0]]},
+    {"v": 1, "arcs": [], "mdfips": [[-1, 0]]},
     {"n": "3", "covers": []},
     {"n": 0, "covers": []},
     {"n": 3, "covers": 7},

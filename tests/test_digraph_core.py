@@ -145,9 +145,9 @@ def test_find_induced_on_diamond_dual():
 
 def test_find_induced_takes_pattern_names_and_rejects_others():
     G = ld.dual_digraph(ld.fixture("L3D"))
-    for pattern in (ld.G0, ld.G1, ld.G2):
-        assert ld.find_induced(G, pattern.id) == ld.find_induced(G, pattern)
-    for name in ("G3", "g0", "", 0):
+    assert (ld.G0, ld.G1, ld.G2) == ("G0", "G1", "G2")
+    assert ld.find_induced(G, "G0") == [(0, 3, 4), (1, 2, 4)]
+    for name in ("G3", "g0", "", 0, None, ["G0"]):
         with pytest.raises(ld.UnknownProperty):
             ld.find_induced(G, name)
 
@@ -165,8 +165,8 @@ def test_find_induced_matches_its_definition(tirs5):
     for G in [Digraph(rows) for rows in reflexive_rows(4)] + list(tirs5):
         for pattern in (ld.G0, ld.G1, ld.G2):
             found = ld.find_induced(G, pattern)
-            assert found == oracles.find_induced(G.rows, pattern.id), (G.rows, pattern.id)
-            seen.add((pattern.id, bool(found)))
+            assert found == oracles.find_induced(G.rows, pattern), (G.rows, pattern)
+            seen.add((pattern, bool(found)))
     assert seen == {(p, b) for p in ("G0", "G1", "G2") for b in (True, False)}
 
 
@@ -233,6 +233,20 @@ def test_json_keeps_vertex_annotations():
     back, added = ld.digraph_from_json(obj)
     assert not added
     assert back == G and back.mdfips == G.mdfips
+
+
+def test_annotations_need_one_entry_per_vertex():
+    """Each annotation has one entry per vertex, so the DOT and JSON
+    writers never meet a short one."""
+    for notes in ({"names": ["a"]}, {"names": ["a", "b", "c"]}, {"mdfips": [(0, 1)]}, {"mdfips": []}):
+        with pytest.raises(ValueError, match=r"^(names|mdfips) annotation length does not match v$"):
+            Digraph([1, 2], **notes)
+    G = Digraph([1, 2], mdfips=[(0, 1), (1, 0)], names=["a", "b"])
+    assert 'n1 [label="b"];' in ld.digraph_to_dot(G)
+    back, _ = ld.digraph_from_json(ld.digraph_to_json(G))
+    assert back.mdfips == G.mdfips and G.reverse().names == G.names
+    empty = Digraph([], mdfips=[], names=[])
+    assert ld.digraph_to_json(empty) == {"v": 0, "arcs": []}
 
 
 def test_dot_merges_opposite_arcs_and_hides_loops():

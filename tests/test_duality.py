@@ -5,7 +5,7 @@ import pytest
 
 import latdual as ld
 from latdual import duality
-from latdual._bits import permute
+from latdual._bits import bits, permute
 from latdual.digraph import Digraph
 from latdual.theorems import DigraphCase, LatticeCase, _thm_2_6_digraph, _thm_2_6_lattice
 from oracles import mpe_enumerate_scan, naive_mpe, reflexive_rows
@@ -356,3 +356,43 @@ def test_the_named_isomorphism_decides_every_small_case(catalog7, tirs5):
         assert (certificate is not None) == ld.digraph_isomorphic(G, D)[0], rows
         found.add(certificate is not None)
     assert found == {True, False}
+
+
+def test_the_map_family_is_sorted_once_in_element_order(catalog6, tirs4):
+    """The cached one-sets are the maps' one-sets by (size, mask): the map
+    lattice's element i has one-set i and order by inclusion, and the
+    lattice certificate sends c to the one-set {i : a_i <= c}."""
+    small = [Digraph(rows) for v in (1, 2, 3) for rows in reflexive_rows(v)]
+    duals = [(L, ld.dual_digraph(L)) for L in catalog6.entries]
+    for G in [G for _, G in duals] + list(tirs4) + small:
+        expect = sorted((u for u, _ in naive_mpe(G)), key=lambda u: (bin(u).count("1"), u))
+        sets = duality._one_sets(G)
+        assert sets == tuple(expect) and duality._one_sets(G) is sets
+        M = ld.mpe_lattice(G)
+        assert M.up == tuple(
+            sum(1 << j for j, t in enumerate(expect) if s & ~t == 0) for s in expect
+        )
+        assert ld.mpe_enumerate(G) == [
+            ld.PartialTwoMap(frozenset(bits(u)), frozenset(bits(z))) for u, z in naive_mpe(G)
+        ]
+    for L, G in duals:
+        ones = [sum(1 << i for i, (a, _) in enumerate(G.mdfips or ()) if L.leq(a, c))
+                for c in range(L.n)]
+        m = duality._lattice_certificate(L, G, ld.mpe_lattice(G))
+        assert m == tuple(duality._one_sets(G).index(s) for s in ones)
+
+
+def test_a_foreign_annotation_is_not_a_certificate():
+    """A generator that is not an element of L leaves the verdict to the
+    canonical search, whichever way it goes."""
+    N5 = ld.fixture("N5")
+    G = Digraph([1, 2, 4], mdfips=[(9, 0), (1, 2), (2, 3)])
+    assert duality._lattice_certificate(N5, G, ld.mpe_lattice(G)) is None
+    assert ld.roundtrip_lattice(N5, G) is False
+    own = ld.dual_digraph(N5)
+    (a, b), *rest = own.mdfips
+    # a - 5 would index the row of a itself, and so certify, if read as an index
+    for stray in (9, a - N5.n):
+        foreign = Digraph(own.rows, mdfips=[(stray, b)] + rest)
+        assert duality._lattice_certificate(N5, foreign, ld.mpe_lattice(foreign)) is None
+        assert ld.roundtrip_lattice(N5, foreign) is True

@@ -38,6 +38,65 @@ def test_from_covers_rejects_cycle():
     assert "cycle" in str(exc.value)
 
 
+def test_from_covers_names_a_cover_on_the_cycle():
+    # 2 -> 3 is listed first, but only 0 <-> 1 is a cycle
+    with pytest.raises(ld.NotAPartialOrder) as exc:
+        ld.from_covers(4, [(2, 3), (0, 1), (1, 0), (1, 2)])
+    assert str(exc.value) in ("elements 0 and 1 form a cycle", "elements 1 and 0 form a cycle")
+
+
+def reaches(n, covers):
+    # reach[a] has bit b iff a reaches b by zero or more covers
+    reach = [1 << a for a in range(n)]
+    for a, b in covers:
+        reach[a] |= 1 << b
+    for k in range(n):
+        for a in range(n):
+            if reach[a] >> k & 1:
+                reach[a] |= reach[k]
+    return reach
+
+
+@st.composite
+def cover_lists(draw):
+    n = draw(st.integers(1, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    covers = draw(st.lists(pair, max_size=14))
+    if draw(st.booleans()):
+        # acyclic: every pair points up a drawn linear order
+        rank = draw(st.permutations(range(n)))
+        covers = [(a, b) if rank[a] < rank[b] else (b, a) for a, b in covers if a != b]
+    return n, covers
+
+
+@settings(max_examples=600, deadline=None)
+@given(cover_lists())
+def test_from_covers_closes_exactly_the_acyclic_lists(drawn):
+    """An acyclic list gives its reflexive transitive closure, or the
+    lattice check's own error on it; a cyclic one names a cover (x, y)
+    whose y reaches x."""
+    n, covers = drawn
+    reach = reaches(n, covers)
+    cyclic = any(reach[b] >> a & 1 for a, b in covers)
+    try:
+        L = ld.from_covers(n, covers)
+    except ld.NotAPartialOrder as exc:
+        assert cyclic
+        words = str(exc).split()
+        assert words[0] == "elements" and words[2] == "and" and words[4:] == ["form", "a", "cycle"]
+        x, y = int(words[1]), int(words[3])
+        assert (x, y) in covers and reach[y] >> x & 1
+        return
+    except ld.NotALattice as exc:
+        assert not cyclic
+        with pytest.raises(ld.NotALattice) as again:
+            FiniteLattice(reach)
+        assert str(again.value) == str(exc)
+        return
+    assert not cyclic
+    assert L.up == tuple(reach)
+
+
 def test_from_covers_rejects_self_cover():
     with pytest.raises(ld.NotAPartialOrder):
         ld.from_covers(2, [(1, 1)])

@@ -215,9 +215,6 @@ def test_the_map_one_sets_are_swept_once_per_digraph(monkeypatch):
 
     sweep = duality._next_closure
     monkeypatch.setattr(duality, "_next_closure", counting)
-    for G in ld.enumerate_tirs_digraphs(4):
-        # catalog digraphs are shared, and earlier callers may have filled this
-        vars(G).pop("_one_sets", None)
     on_lattices, checks = _both_sides_here(runs)
     assert len(runs) == len(set(map(id, runs)))
     # the duals of 25 catalog lattices on the lattice side; on the digraph
@@ -237,9 +234,16 @@ def test_the_scan_builds_one_map_lattice_per_digraph(monkeypatch):
 
     of_sets = FiniteLattice.of_sets.__func__
     monkeypatch.setattr(FiniteLattice, "of_sets", classmethod(counting))
-    checked, cexs = theorems._thm_4_10_scan()
-    assert (checked, cexs) == (23, [])
+    (record,) = [rec for rec in REGISTRY if rec.scan]
+    source, check = record.scan
+    parts = theorems._sweep("scan", source(), {record.id: check}, {})
+    assert parts == {record.id: [("scan", 23, [], [])]}
     assert len(built) == 23
+    # a failing case is described like any other, with no detail key
+    failing = theorems._sweep("scan", source(), {record.id: lambda case: (False, None)}, {})
+    [(_, checked, cexs, _)] = failing[record.id]
+    assert checked == len(cexs) == 23
+    assert all(list(c) == ["digraph"] for c in cexs)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the digraph side runs in a child only with os.fork")
