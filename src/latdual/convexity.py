@@ -111,13 +111,11 @@ def satisfies_aep(C):
     """
     for a in C.closed:
         outside = ~a & ((1 << C.ground) - 1)
-        for x in bits(outside):
-            cx = C.close_mask(a | 1 << x)
-            for y in bits(outside):
-                if y == x:
-                    continue
-                cy = C.close_mask(a | 1 << y)
-                if cy >> x & 1 and cx >> y & 1:
+        # close(A + y) for each y outside A, each computed once
+        cl = {y: C.close_mask(a | 1 << y) for y in bits(outside)}
+        for x, cx in cl.items():
+            for y, cy in cl.items():
+                if y != x and cy >> x & 1 and cx >> y & 1:
                     return PropertyReport("aep", False, (tuple(bits(a)), x, y))
     return PropertyReport("aep", True)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ._bits import bits, mask, permute, union
 from .digraph import Digraph, digraph_isomorphic
-from .errors import BoundTooLarge, NotALattice, NotDisjoint
+from .errors import BoundTooLarge, NotDisjoint
 from .lattice import FiniteLattice, join_irreducibles, lattice_isomorphic, meet_irreducibles
 
 # the most elements a map lattice may have; a digraph of v isolated loops
@@ -194,15 +194,12 @@ def mpe_lattice(G):
 
     Elements are indexed by (size of one-set, one-set mask) increasing,
     so index 0 is the all-zeros map and the last index the all-ones map.
-    The one-sets are the closed sets of a closure operator, so they pass
-    the intersection-closure check of ``FiniteLattice.of_sets``.
+    The one-sets are the closed sets of ``_close``, the closure operator
+    of a Galois connection, so for every digraph, looped or not, they
+    contain the full set and are closed under intersection: they pass
+    the checks of ``FiniteLattice.of_sets``, which still runs them.
     """
-    try:
-        return FiniteLattice.of_sets(_one_sets(G))
-    except NotALattice as exc:
-        raise NotALattice(
-            f"maximal map family is not a lattice under one-set inclusion: {exc}"
-        ) from exc
+    return FiniteLattice.of_sets(_one_sets(G))
 
 
 def certified(rows1, rows2, m):

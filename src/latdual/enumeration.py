@@ -31,6 +31,13 @@ Canonical forms of these rows, digraphs and semilattice orders alike, get
 a constant seed: the first refinement round already splits the vertices
 by (out-degree, in-degree), so degree seeds would only repeat it. They
 are not memoised, as a row tuple almost never comes up twice.
+
+Each catalog level is cached as rows, never as objects: a lattice level
+holds the sorted canonical order rows, a digraph level the sorted
+canonical arc rows. ``enumerate_lattices`` and ``enumerate_tirs_digraphs``
+build new objects from them on each call, and ``_lattices`` builds each
+lattice only when its consumer reaches it, so what a caller caches on a
+catalog object lives as long as that object, not as long as the level.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from . import _canon
 from ._bits import bits, permute, transpose, union
 from .digraph import Digraph, check_tirs
 from .errors import BoundTooLarge
-from .lattice import FiniteLattice, _canonical
+from .lattice import FiniteLattice, _invariants
 
 MAX_LATTICE_N = 10
 MAX_TIRS_V = 5
@@ -96,25 +103,31 @@ def _semilattice_level(k):
 
 @lru_cache(maxsize=None)
 def _lattice_level(n):
+    """Canonical order rows of the lattices on n elements, sorted."""
     top = 1 << (n - 1)
     out = []
     for rows in _semilattice_level(n - 1) if n > 1 else ((),):
-        # the key of a lattice is the key of its canonical relabelling
-        out.append(_canonical(FiniteLattice([r | top for r in rows] + [top])))
-    out.sort(key=lambda kv: kv[0])
-    return tuple(L for _, L in out)
+        L = FiniteLattice([r | top for r in rows] + [top])
+        out.append(permute(L.up, _canonical_form(L.up, _invariants(L))[1]))
+    # rows of one width sort as their canonical keys do
+    return tuple(sorted(out))
 
 
-def enumerate_lattices(max_n):
-    """Catalog of all lattices with up to max_n elements, one per class."""
+def _lattices(max_n):
+    """The catalog lattices with up to max_n elements, level by level,
+    each built from its level's rows as it is reached."""
     if not 1 <= max_n <= MAX_LATTICE_N:
         raise BoundTooLarge(
             f"lattice enumeration supports 1 <= max_n <= {MAX_LATTICE_N}, got {max_n}"
         )
-    entries = []
     for n in range(1, max_n + 1):
-        entries.extend(_lattice_level(n))
-    return LatticeCatalog(max_n, tuple(entries))
+        for rows in _lattice_level(n):
+            yield FiniteLattice(rows)
+
+
+def enumerate_lattices(max_n):
+    """Catalog of all lattices with up to max_n elements, one per class."""
+    return LatticeCatalog(max_n, tuple(_lattices(max_n)))
 
 
 def _reflexive_row_options(v):

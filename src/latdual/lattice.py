@@ -344,13 +344,7 @@ def canonical_key(L):
 
 def canonicalize(L):
     """The canonical representative of the isomorphism class of L."""
-    return _canonical(L)[1]
-
-
-def _canonical(L):
-    # (canonical key, canonical representative) from one canonical form
-    key, perm = _canon.canonical_form(L.up, _invariants(L))
-    return key, relabel(L, perm)
+    return relabel(L, _canon.canonical_form(L.up, _invariants(L))[1])
 
 
 def relabel(L, perm):

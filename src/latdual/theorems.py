@@ -28,10 +28,12 @@ TiRS catalog and the THM_4_10 reflexive scan) while the calling process
 runs the lattice side. Each side is case-major: one loop, ``_sweep``,
 visits each case once, runs every record's check and non-converse test
 on it, and drops it, so a case's derived data lives only while the case
-is visited. The same loop sweeps the THM_4_10 scan, a case source of its
-own record. The per-record parts are merged into the registry order of
-the report, each record's counterexamples and witnesses in case order,
-lattice side first.
+is visited. That holds for the catalog objects too: the lattice side
+builds each lattice from its level's cached rows as the case is reached
+(``enumeration._lattices``), and the child builds its digraphs. The same
+loop sweeps the THM_4_10 scan, a case source of its own record. The
+per-record parts are merged into the registry order of the report, each
+record's counterexamples and witnesses in case order, lattice side first.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .duality import (
     roundtrip_digraph,
     roundtrip_lattice,
 )
-from .enumeration import _reflexive_row_options, enumerate_lattices, enumerate_tirs_digraphs
+from .enumeration import _lattices, _reflexive_row_options, enumerate_tirs_digraphs
 from .errors import UnknownProperty
 from .lattice import (
     find_n5_sublattices,
@@ -637,7 +639,7 @@ def _lattice_side(max_n):
     witnesses of every implication."""
     checks = {rec.id: rec.lattice_check or rec.flag_check for rec in REGISTRY}
     implications = {rec.id: rec.implies for rec in REGISTRY if rec.implies}
-    cases = (LatticeCase(L) for L in enumerate_lattices(max_n).entries)
+    cases = (LatticeCase(L) for L in _lattices(max_n))
     return _sweep(f"lattices(n<={max_n})", cases, checks, implications)
 
 
@@ -775,7 +777,7 @@ def search_counterexamples(holds, fails, max_n=7):
         if name not in LATTICE_CHECKS and name not in DIGRAPH_CHECKS:
             raise UnknownProperty(f"no property named {name!r}")
     out = []
-    for L in enumerate_lattices(max_n).entries:
+    for L in _lattices(max_n):
         case = LatticeCase(L)
         if case.flag(holds) and not case.flag(fails):
             out.append(L)

@@ -163,6 +163,18 @@ def test_search_streams_matches(capsys):
     assert cap.err.strip() == "1 lattices satisfy jmlsm but not lsm"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-theorems", "--max-n", str(MAX_LATTICE_N + 1)],
+    ["search", "--holds", "jsd", "--fails", "md", "--max-n", str(MAX_LATTICE_N + 1)],
+])
+def test_campaigns_over_the_lattice_bound_are_input_errors(argv, capsys):
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    bound = f"1 <= max_n <= {MAX_LATTICE_N}, got {MAX_LATTICE_N + 1}"
+    assert cap.err == f"error: lattice enumeration supports {bound}\n"
+
+
 def test_convexify_golden(tmp_path, capsys):
     assert main(["convexify", lattice_file(tmp_path, "CHAIN(3)")]) == 0
     obj = json.loads(capsys.readouterr().out)

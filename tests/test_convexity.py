@@ -14,6 +14,7 @@ from latdual.convexity import (
     lattice_to_convex_geometry,
     satisfies_aep,
 )
+from latdual._bits import bits
 from oracles import assert_no_square_table
 
 
@@ -111,6 +112,56 @@ def test_anti_exchange_examples():
     assert D.close_mask(base | 1 << x) >> y & 1
 
 
+def first_exchange(C):
+    """The anti-exchange definition pair by pair: the first closed A, then
+    x and y outside it, in increasing order, with x in close(A + y) and
+    y in close(A + x); None if there is none."""
+    for a in C.closed:
+        A = list(bits(a))
+        outside = [i for i in range(C.ground) if not a >> i & 1]
+        for x in outside:
+            for y in outside:
+                if x != y and x in closure_of(C, A + [y]) and y in closure_of(C, A + [x]):
+                    return tuple(A), x, y
+    return None
+
+
+def small_closure_systems(k):
+    """Every intersection-closed family on k points with the full set."""
+    full = (1 << k) - 1
+    for picks in itertools.product([False, True], repeat=full + 1):
+        fam = [s for s, p in enumerate(picks) if p]
+        famset = set(fam)
+        if full in famset and all(a & b in famset for a in fam for b in fam):
+            yield ClosureSystem(k, fam)
+
+
+def test_anti_exchange_closes_each_extension_once(monkeypatch):
+    """One closure per closed set A and point outside it, and the first
+    witness of the definition's pair-by-pair scan."""
+    calls = []
+    close_mask = ClosureSystem.close_mask
+
+    def counting(self, m):
+        calls.append(m)
+        return close_mask(self, m)
+
+    monkeypatch.setattr(ClosureSystem, "close_mask", counting)
+    for k, expect in ((6, 192), (8, 1024), (10, 5120)):
+        calls.clear()
+        assert satisfies_aep(powerset_system(k))
+        assert len(calls) == expect == k << (k - 1)
+    monkeypatch.undo()
+    D = ClosureSystem.from_sets(3, [[], [0], [1], [2], [0, 1, 2]])
+    systems = [D] + [C for k in range(4) for C in small_closure_systems(k)]
+    failing = 0
+    for C in systems:
+        r = satisfies_aep(C)
+        assert r.witness == first_exchange(C), closure_to_json(C)
+        failing += not r
+    assert failing == 28
+
+
 def test_closed_set_lattice_shapes():
     ok, _ = ld.lattice_isomorphic(cld_lattice(powerset_system(2)), ld.fixture("B2"))
     assert ok
@@ -149,16 +200,7 @@ def test_rejects_non_locally_distributive_lattices():
 def test_every_small_geometry_yields_locally_distributive_lattice():
     # full scan of intersection closed families on up to 3 points
     for k in range(4):
-        full = (1 << k) - 1
-        subsets = list(range(full + 1))
-        for picks in itertools.product([False, True], repeat=len(subsets)):
-            fam = [s for s, p in zip(subsets, picks) if p]
-            if full not in fam:
-                continue
-            famset = set(fam)
-            if any(a & b not in famset for a in fam for b in fam):
-                continue
-            C = ClosureSystem(k, fam)
+        for C in small_closure_systems(k):
             if not (is_zero_closure(C) and satisfies_aep(C)):
                 continue
             L = cld_lattice(C)

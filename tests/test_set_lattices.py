@@ -2,6 +2,7 @@
 constructor on the inclusion order, with meets and joins read off the
 order rows and no table built."""
 
+import itertools
 import random
 
 import pytest
@@ -44,6 +45,27 @@ def test_map_lattices_of_small_reflexive_digraphs():
             assert_map_lattice_matches_generic(Digraph(rows))
             count += 1
     assert count == 1 + 4 + 64
+
+
+def test_every_digraph_on_up_to_three_vertices_has_a_map_lattice():
+    """Looped or not, a digraph's one-sets are the fixed points of
+    U -> U(Z(U)), computed here set by set from the arcs: they hold the
+    full set and are closed under intersection, so the map lattice is
+    always built, ordered by inclusion of its one-sets."""
+    count = 0
+    for v in range(1, 4):
+        full = (1 << v) - 1
+        for rows in itertools.product(range(full + 1), repeat=v):
+            zeros = [sum(1 << z for z in range(v) if not any(rows[x] >> z & 1 for x in bits(u)))
+                     for u in range(full + 1)]
+            fixed = [u for u in range(full + 1)
+                     if u == sum(1 << x for x in range(v) if not rows[x] & zeros[u])]
+            assert full in fixed and all(a & b in fixed for a in fixed for b in fixed), rows
+            M = mpe_lattice(Digraph(rows))
+            sets = sorted(fixed, key=lambda m: (m.bit_count(), m))
+            assert M.up == inclusion(sets)[0], rows
+            count += 1
+    assert count == 2 + 16 + 512
 
 
 def test_map_lattices_of_the_tirs_catalog(tirs5):

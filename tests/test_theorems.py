@@ -3,6 +3,7 @@ import json
 import os
 import signal
 import time
+import weakref
 
 import pytest
 
@@ -189,9 +190,6 @@ def test_the_maximal_pairs_are_found_once_per_lattice(monkeypatch):
 
     compute = duality._maximal_pairs
     monkeypatch.setattr(duality, "_maximal_pairs", counting)
-    for L in ld.enumerate_lattices(6).entries:
-        # catalog lattices are shared, and earlier callers may have filled this
-        vars(L).pop("_mdfips", None)
     on_lattices, checks = _both_sides_here(runs)
     assert len(runs) == len(set(map(id, runs)))
     # 25 catalog lattices on the lattice side; on the digraph side the map
@@ -199,6 +197,37 @@ def test_the_maximal_pairs_are_found_once_per_lattice(monkeypatch):
     # THM_4_10 scan
     assert (on_lattices, len(runs) - on_lattices) == (25, 64)
     assert len(runs) == checks["THM_4_10"].checked == 89
+
+
+def test_the_lattice_side_keeps_no_lattice_after_its_case(monkeypatch):
+    """Each catalog lattice is built when its case is visited and freed
+    when the next case replaces it: when a case starts, at most the
+    lattice of the case before it is alive, and none is once the side
+    returns."""
+    refs, alive = [], []
+
+    class Watched(theorems.LatticeCase):
+        def __init__(self, L):
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(L))
+            super().__init__(L)
+
+    monkeypatch.setattr(theorems, "LatticeCase", Watched)
+    theorems._lattice_side(6)
+    assert len(refs) == 25
+    assert max(alive) <= 1
+    assert sum(ref() is not None for ref in refs) == 0
+
+
+def test_the_catalog_builds_new_lattices_on_each_call():
+    """Two calls give equal lattices, not shared ones, so what a campaign
+    caches on its lattices is not found on a later catalog's."""
+    first, second = ld.enumerate_lattices(6).entries, ld.enumerate_lattices(6).entries
+    assert first == second
+    assert not any(L is K for L, K in zip(first, second))
+    assert all(c.passed for c in ld.verify_theorems(max_n=6))
+    _no_child_left()
+    assert not any("_mdfips" in vars(L) for L in ld.enumerate_lattices(6).entries)
 
 
 def test_the_map_one_sets_are_swept_once_per_digraph(monkeypatch):
@@ -322,6 +351,21 @@ def test_a_lattice_side_error_kills_the_child(monkeypatch, error):
         ld.verify_theorems(max_n=8)
     assert time.monotonic() - t0 < 30
     _no_child_left()
+
+
+@pytest.mark.parametrize("forked", [True, False] if hasattr(os, "fork") else [False])
+def test_a_campaign_over_the_bound_is_refused(monkeypatch, forked):
+    """The lattice bound is checked when the lattice side starts its
+    catalog, after the child is forked; the child is killed and reaped
+    before the error goes on."""
+    if not forked:
+        monkeypatch.delattr(os, "fork", raising=False)
+    message = "^lattice enumeration supports 1 <= max_n <= 10, got 11$"
+    with pytest.raises(ld.BoundTooLarge, match=message):
+        ld.verify_theorems(max_n=11)
+    _no_child_left()
+    with pytest.raises(ld.BoundTooLarge, match=message):
+        ld.search_counterexamples("jsd", "md", 11)
 
 
 def _runs(details):
