@@ -1,9 +1,12 @@
 """Command line front end.
 
-``main`` builds the parser of the named command only (all eight when no
-known command comes first, so help and the invalid-choice error list them
-all). ``dual``, ``primal``, ``check`` and ``convexify`` print one top-level
-key per line with compact values.
+``main`` reads a plain command line straight from the ``COMMANDS`` table:
+a command name, then its positionals in order and its exact option flags,
+each at most once, with a value not starting with ``-``. Anything else
+(help, abbreviations, ``--opt=value``, ``--``, usage errors) goes to the
+argparse parser with all eight commands, built only then, so help and
+errors read as argparse prints them. ``dual``, ``primal``, ``check`` and
+``convexify`` print one top-level key per line with compact values.
 
 Exit codes: 0 success (and property holds / roundtrip closes / all
 statements verified), 1 a checked property or statement fails, 2 usage or
@@ -12,9 +15,9 @@ input errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .convexity import closure_to_json, lattice_to_convex_geometry
 from .digraph import digraph_from_json, digraph_to_dot, digraph_to_json
@@ -139,10 +142,11 @@ def _cmd_convexify(args):
 
 
 _FILE = (("file",), {})
-_DOT = (("--dot",), {"action": "store_true", "help": "emit DOT instead of JSON"})
+_DOT = (("--dot",), {"action": "store_true", "default": False, "help": "emit DOT instead of JSON"})
 _MAX_N = (("--max-n",), {"type": int, "default": 7})
 
-# name: (function, help, arguments as (flags, keywords)), in help order
+# name: (function, help, arguments as (flags, keywords)), in help order;
+# an option states its default, and its action is store_true or none
 COMMANDS = {
     "dual": (_cmd_dual, "dual digraph of a lattice", [_FILE, _DOT]),
     "primal": (_cmd_primal, "map lattice of a reflexive digraph", [_FILE, _DOT]),
@@ -160,27 +164,67 @@ COMMANDS = {
 }
 
 
-def _parser(only=None):
-    """The parser with every subparser, or only the one named; a subparser's
-    help and errors depend on itself alone, and the metavar keeps every
-    command in the top-level usage (printed for unrecognized arguments)."""
+def _plain_args(argv):
+    """The arguments of a plain command line, read from ``COMMANDS``, or
+    None for any other line. Values are converted by the option's
+    ``type``, as argparse does, and defaults come from the table."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    args, options, positionals = {"command": argv[0]}, {}, []
+    for flags, keywords in COMMANDS[argv[0]][2]:
+        if flags[0].startswith("-"):
+            options[flags[0]] = keywords
+            args[_dest(flags[0])] = keywords.get("default")
+        else:
+            positionals.append(flags[0])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            # popped: an option given twice is not plain
+            keywords = options.pop(token)
+            if keywords.get("action") == "store_true":
+                args[_dest(token)] = True
+                continue
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                args[_dest(token)] = keywords.get("type", str)(value)
+            except ValueError:
+                return None
+        elif positionals and not token.startswith("-"):
+            args[positionals.pop(0)] = token
+        else:
+            return None
+    if positionals or any(keywords.get("required") for keywords in options.values()):
+        return None
+    return SimpleNamespace(**args)
+
+
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _parser():
+    """The argparse parser with every command, for the command lines
+    ``_plain_args`` declines: help, usage errors and the less plain forms."""
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="latdual",
         description="Finite lattices, their dual digraphs, and reconstructions",
     )
-    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = p.add_subparsers(dest="command", required=True)
     for name, (_, summary, arguments) in COMMANDS.items():
-        if only in (None, name):
-            q = sub.add_parser(name, help=summary)
-            for flags, keywords in arguments:
-                q.add_argument(*flags, **keywords)
+        q = sub.add_parser(name, help=summary)
+        for flags, keywords in arguments:
+            q.add_argument(*flags, **keywords)
     return p
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _plain_args(argv) or _parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](args)
     except (LatdualError, ValueError, OSError) as exc:

@@ -391,7 +391,17 @@ def is_meet_distributive(L):
     Per x the test is one row equation: the y above x are the members
     of the interval below no p_i outside P(x). That is c row operations
     per member instead of a table lookup per pair of members.
+
+    The report is kept on the lattice: ``lattice_to_convex_geometry``
+    asks again right after its callers decided it.
     """
+    rep = vars(L).get("_md")
+    if rep is None:
+        rep = L._md = _meet_distributive(L)
+    return rep
+
+
+def _meet_distributive(L):
     up, down = L.up, L.down
     for a, covers in enumerate(L._lower):
         if not covers:

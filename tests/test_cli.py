@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latdual as ld
-from latdual.cli import _parser, main
+from latdual.cli import COMMANDS, _parser, _plain_args, main
 from latdual.enumeration import MAX_LATTICE_N
 from latdual.fixtures import m_k
 from latdual.lattice import lattice_from_json, lattice_to_json
@@ -261,22 +262,107 @@ def test_without_a_known_command_every_command_is_named(argv, capsys):
         assert name in cap.out + cap.err, (argv, name)
 
 
-def test_a_command_builds_only_its_own_subparser(tmp_path, capsys, monkeypatch):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
+def test_a_plain_command_builds_no_parser(tmp_path, capsys, monkeypatch):
+    parsers, built = [], []
+    init, add_parser = argparse.ArgumentParser.__init__, argparse._SubParsersAction.add_parser
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
     def counting(self, name, **kwargs):
         built.append(name)
         return add_parser(self, name, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
     assert main(["roundtrip", lattice_file(tmp_path, "B2")]) == 0
-    assert built == ["roundtrip"]
-    built.clear()
+    assert parsers == built == []
     with pytest.raises(SystemExit):
         main(["--help"])
     assert built == list(COMMAND_NAMES)
+    assert len(parsers) == 1 + len(COMMAND_NAMES)
     capsys.readouterr()
+
+
+FLAGS = tuple(flags[0] for _, _, arguments in COMMANDS.values()
+              for flags, _ in arguments if flags[0].startswith("-"))
+VALUES = ("8", "-3", " 8", "four", "-", "", "x.json", "mod")
+TOKENS = COMMAND_NAMES + ("bogus",) + FLAGS + ("--max", "--max-n=8", "--", "-h") + VALUES
+
+
+@st.composite
+def command_lines(draw):
+    """At most six tokens from TOKENS: a command's positionals and some of
+    its options in any order, each filled with a drawn value, then up to
+    two tokens replaced, inserted or deleted."""
+    name = draw(st.sampled_from(COMMAND_NAMES))
+    value = st.sampled_from(VALUES)
+    units = [
+        [flags[0]] if "action" in keywords else [flags[0], draw(value)]
+        for flags, keywords in COMMANDS[name][2] if flags[0].startswith("-") and draw(st.booleans())
+    ] + [[draw(value)] for flags, _ in COMMANDS[name][2] if not flags[0].startswith("-")]
+    argv = [name] + sum(draw(st.permutations(units)), [])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i + draw(st.integers(0, 1))] = draw(st.lists(st.sampled_from(TOKENS), max_size=1))
+    return argv[:6]
+
+
+def test_plain_arguments_are_those_of_argparse():
+    """The reader reads a line exactly as argparse does, or declines it."""
+    read = []
+
+    @settings(max_examples=1500, deadline=None)
+    @given(command_lines())
+    def agree(argv):
+        args = _plain_args(argv)
+        if args is not None:
+            assert vars(args) == vars(_parser().parse_args(argv)), argv
+            read.append(argv)
+
+    agree()
+    assert len(read) >= 100
+    assert {argv[0] for argv in read} == set(COMMANDS)
+
+
+PLAIN = [
+    ["dual", "F"], ["dual", "F", "--dot"], ["dual", "--dot", "F"],
+    ["primal", "F"], ["primal", "F", "--dot"],
+    ["check", "mod", "F"],
+    ["roundtrip", "F"],
+    ["enumerate", "--max-n", "5"], ["enumerate", "--out", "F", "--max-n", "5"],
+    ["verify-theorems"], ["verify-theorems", "--max-n", "8", "--report", "F"],
+    ["search", "--holds", "jsd", "--fails", "md"],
+    ["search", "--max-n", "6", "--fails", "md", "--holds", "jsd"],
+    ["convexify", "F"],
+]
+
+
+def test_every_plain_command_line_is_read_without_argparse():
+    """Each command, and each of its options, has a plain form the reader
+    reads as argparse does; this includes the lines perfbench runs."""
+    for argv in PLAIN:
+        args = _plain_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(_parser().parse_args(argv)), argv
+    assert {argv[0] for argv in PLAIN} == set(COMMANDS)
+    assert {t for argv in PLAIN for t in argv if t.startswith("-")} == set(FLAGS)
+
+
+def test_a_roundtrip_imports_neither_argparse_nor_locale(tmp_path):
+    """`python -m latdual roundtrip FILE` in a fresh process; -X importtime
+    names every module the process imports."""
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "latdual", "roundtrip", lattice_file(tmp_path, "B2")],
+        capture_output=True, text=True, env=_source_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"kind": "lattice", "roundtrip": True}
+    imported = {line.rsplit("|", 1)[1].strip() for line in r.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"json", "latdual.cli", "latdual.duality"} <= imported
+    assert not {"argparse", "locale", "gettext"} & imported
 
 
 def test_bad_json_file(tmp_path, capsys):

@@ -197,6 +197,29 @@ def test_rejects_non_locally_distributive_lattices():
         lattice_to_convex_geometry(ld.fixture("M3"))
 
 
+def test_meet_distributivity_is_decided_once_per_lattice(monkeypatch, convex95):
+    """The decider's verdict is kept on the lattice: the convex geometry
+    reads it after the property check, and a new lattice decides again."""
+    import latdual.properties as props
+
+    calls = []
+    decide = props._meet_distributive
+    monkeypatch.setattr(props, "_meet_distributive", lambda L: calls.append(L) or decide(L))
+    # a copy: the session's convex95 may have been decided already
+    for L in (ld.fixture("L4D"), ld.fixture("L4D"), ld.FiniteLattice(convex95.up)):
+        assert ld.check_lattice_property("md", L)
+        assert closure_to_json(lattice_to_convex_geometry(L))
+        assert calls[-1] is L
+    assert len(calls) == 3
+    for name in ("N5", "M3"):
+        L = ld.fixture(name)
+        assert ld.check_lattice_property("md", L).witness == (4,)
+        with pytest.raises(ld.NotMeetDistributive, match="element 4 "):
+            lattice_to_convex_geometry(L)
+        assert calls[-1] is L
+    assert len(calls) == 5
+
+
 def test_every_small_geometry_yields_locally_distributive_lattice():
     # full scan of intersection closed families on up to 3 points
     for k in range(4):
