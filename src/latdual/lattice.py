@@ -9,6 +9,10 @@ Conventions used throughout the package:
       (``_bits.upper_covers``), which also yields the upper cover rows
       ``_upper``: with their converse ``_lower``, the only cover data kept.
       Only a rejection runs the pairwise scan, which names the fault.
+      ``FiniteLattice(up)`` transposes ``up`` into ``down``; the other
+      constructors hand both rows in, ``of_sets`` from the membership
+      columns and ``from_covers`` from its depth-first pass over the
+      covers, so none of them steps through the order pairs.
     - Every pair must have a meet and a join. ``FiniteLattice(up)``
       checks this by a unique top and the intersection closure of the
       principal down-sets; ``FiniteLattice.of_sets`` by the union and
@@ -53,6 +57,9 @@ class FiniteLattice:
 
     def __init__(self, up, labels=None):
         self._set_order(up, None, labels)
+        self._check_lattice()
+
+    def _check_lattice(self):
         # with a top, an order is a lattice iff its principal down-sets
         # are closed under intersection: the meet of a and b is the
         # element whose down-set is down[a] & down[b]
@@ -237,16 +244,23 @@ def from_covers(n, covers, labels=None):
     on it, so that b reaches a; a missing meet or join raises NotALattice
     naming two elements.
 
-    One depth-first pass closes the rows: a row is closed once the rows
-    of its successors are. A cover into an element still on the current
-    path, a self-cover included, closes a cycle through both its ends.
+    One depth-first pass closes the up rows: a row is closed once the
+    rows of its successors are. A cover into an element still on the
+    current path, a self-cover included, closes a cycle through both its
+    ends. The pass lists the elements as they close, each after all its
+    successors, so in reverse a down row is closed once the rows of its
+    predecessors are. Each row is one OR per given pair: no transpose
+    steps through the order pairs. The order sweep and the lattice check
+    of ``FiniteLattice`` then run on both rows.
     """
-    succ = [0] * n
+    succ, pred = [0] * n, [0] * n
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
             raise NotAPartialOrder(f"cover ({a}, {b}) is out of range")
         succ[a] |= 1 << b
+        pred[b] |= 1 << a
     up = [0] * n  # a closed row holds its own bit, so 0 is not closed yet
+    closed = []  # the elements in the order their rows close
     for root in range(n):
         if up[root]:
             continue
@@ -258,6 +272,7 @@ def from_covers(n, covers, labels=None):
                 rest.pop()
                 on_path ^= 1 << x
                 up[x] = union(up, succ[x]) | 1 << x
+                closed.append(x)
                 continue
             low = todo & -todo
             rest[-1] = todo ^ low
@@ -268,7 +283,13 @@ def from_covers(n, covers, labels=None):
                 path.append(b)
                 rest.append(succ[b])
                 on_path |= low
-    return FiniteLattice(up, labels)
+    down = [0] * n
+    for x in reversed(closed):
+        down[x] = union(down, pred[x]) | 1 << x
+    L = FiniteLattice.__new__(FiniteLattice)
+    L._set_order(up, tuple(down), labels)
+    L._check_lattice()
+    return L
 
 
 def join_irreducibles(L):

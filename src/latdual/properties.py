@@ -373,24 +373,36 @@ def is_meet_distributive(L):
     is distributive; the bottom element is exempt. Witness: (a,).
 
     Decided on the order rows alone, with no meet or join table. Let
-    p_1..p_c be the lower covers of a and P(x) the set of p_i above x.
-    Lemma: [mu(a), a] is distributive iff it has 2^c elements and, for
-    all x and y in it, x <= y exactly when P(y) is inside P(x).
+    p_1..p_c be the lower covers of a, ^S the meet of the p_i in S (^ of
+    none being a) and P(x) the set of p_i above x.
 
-    The p_i are the coatoms of the interval and meet in its bottom.
-    If: P is then an order embedding of the interval into the subsets
-    of {p_1..p_c}, reversed, and onto as both sides have 2^c elements;
-    so the interval is Boolean, hence distributive. Only if: in a
-    distributive lattice every meet irreducible q is meet prime, so
+    Lemma: [mu(a), a] is distributive iff it is Boolean. The p_i are the
+    coatoms of the interval and meet in its bottom. In a distributive
+    lattice every meet irreducible q is meet prime, so
     q >= p_1 ^ ... ^ p_c puts q above some p_i, and q = p_i as q is not
     the top. Every x is the meet of the meet irreducibles above it,
-    x = ^P(x), so P(y) inside P(x) gives x <= y. Each p_j is meet
-    prime and the p_i are pairwise incomparable, so ^S is below no p_j
-    outside S: the 2^c subsets S of coatoms have 2^c distinct meets.
+    x = ^P(x), so x -> P(x) is one-to-one and order-reversing onto its
+    image, and x <= y when P(y) is inside P(x). Each p_j is meet prime
+    and the p_i are pairwise incomparable, so ^S is below no p_j outside
+    S: every subset S is P(^S), and the interval is Boolean. Conversely
+    a Boolean lattice is distributive.
 
-    Per x the test is one row equation: the y above x are the members
-    of the interval below no p_i outside P(x). That is c row operations
-    per member instead of a table lookup per pair of members.
+    Criterion: md holds at a iff [mu(a), a] has 2^c elements and the 2^c
+    meets ^S are pairwise distinct. Each ^S lies in the interval, and
+    S is inside P(^S). For p_j outside S, ^S <= p_j would make
+    ^(S + p_j) = ^S ^ p_j equal to ^S; so the meets are distinct iff
+    P(^S) = S for every S. If: the 2^c distinct meets then fill the
+    interval, and ^S <= ^T iff T is inside S (if ^S <= ^T, the p_i
+    above ^T, those of T, are above ^S); so the interval is the Boolean
+    lattice of subsets, reversed. Only if: by the lemma the interval is
+    Boolean with coatoms p_1..p_c, so it has 2^c elements, and in a
+    Boolean lattice distinct sets of coatoms have distinct meets.
+
+    The down row of each ^S is one AND of a lower cover's row onto that
+    of a smaller subset, so the test is 2^c ANDs and set insertions per
+    element, and one lookup for mu(a). It runs only when 2^c is at most
+    the size of down[a], which holds the interval: the subsets never
+    outnumber the elements.
 
     The report is kept on the lattice: ``lattice_to_convex_geometry``
     asks again right after its callers decided it.
@@ -402,28 +414,20 @@ def is_meet_distributive(L):
 
 
 def _meet_distributive(L):
-    up, down = L.up, L.down
+    up, down, index = L.up, L.down, L._down_index
     for a, covers in enumerate(L._lower):
         if not covers:
             continue
-        # one walk of the lower covers gives the coatoms and mu(a)
-        coatoms = [(1 << p, down[p]) for p in bits(covers)]
-        low = down[a]
-        for _, row in coatoms:
-            low &= row
-        seg = up[L._down_index[low]] & down[a]
-        boolean = seg.bit_count() == 1 << len(coatoms)
-        if boolean:
-            for x in bits(seg):
-                ux, outside = up[x], 0
-                for bit, row in coatoms:
-                    if not ux & bit:
-                        outside |= row
-                if ux & seg != seg & ~outside:
-                    boolean = False
-                    break
-        if not boolean:
-            return PropertyReport("md", False, (a,))
+        if 1 << covers.bit_count() <= down[a].bit_count():
+            meets = [down[a]]  # the down row of ^S, per subset S
+            for p in bits(covers):
+                row = down[p]
+                meets += [m & row for m in meets]
+            # meets[-1] is the down row of mu(a)
+            size = (up[index[meets[-1]]] & down[a]).bit_count()
+            if size == len(meets) == len(set(meets)):
+                continue
+        return PropertyReport("md", False, (a,))
     return PropertyReport("md", True)
 
 

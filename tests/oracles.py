@@ -598,6 +598,29 @@ def md_witness(L):
     return None
 
 
+def md_rows_witness(L):
+    """md tested member by member: the first a other than the bottom
+    whose interval [m, a], m the meet of its lower covers p_1..p_c, is
+    not Boolean on its coatoms, that is, does not have 2^c elements
+    ordered by x <= y iff P(y) is inside P(x), P(x) being the p_i above
+    x. As (a,), or None."""
+    n = L.n
+    for a in range(n):
+        lower = [p for p in range(n) if L.is_cover(p, a)]
+        if not lower:
+            continue
+        m = lower[0]
+        for p in lower[1:]:
+            m = L.meet(m, p)
+        seg = [x for x in range(n) if L.leq(m, x) and L.leq(x, a)]
+        P = {x: {p for p in lower if L.leq(x, p)} for x in seg}
+        if len(seg) != 2 ** len(lower) or any(
+            L.leq(x, y) != (P[y] <= P[x]) for x in seg for y in seg
+        ):
+            return (a,)
+    return None
+
+
 def convex_sets(points):
     """Closed sets of the convex geometry of planar points in general
     position, as bitmasks: S is closed iff no other point lies in a

@@ -236,6 +236,49 @@ def test_enumeration_paths_agree_on_random_digraphs():
             assert fast == slow == naive_mpe(G)
 
 
+def grid(a, b):
+    """The product of an a-chain and a b-chain, (i, j) being i * b + j; its
+    dual digraph has a + b - 2 vertices."""
+    covers = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    covers += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    return ld.from_covers(a * b, covers)
+
+
+@pytest.mark.parametrize("v", (8, 9, 15, 16, 17))
+def test_next_closure_matches_the_scans_across_byte_boundaries(v):
+    """NextClosure unions rows and columns a byte of vertices at a time:
+    8 vertices fill one table, 9 add a one-vertex table, and 15, 16 and
+    17 end before, on and after the second boundary. The 3^v sweep runs
+    where it is affordable, up to 9 vertices."""
+    rng = random.Random(v)
+    graphs = [ld.dual_digraph(grid(v // 2 + 1, v - v // 2 + 1))]
+    for density in (0.2, 0.35, 0.5):
+        graphs.append(Digraph(tuple(
+            1 << i | sum(1 << j for j in range(v) if j != i and rng.random() < density)
+            for i in range(v))))
+    for G in graphs:
+        assert G.v == v
+        fast = [(sum(1 << x for x in f.ones), sum(1 << x for x in f.zeros))
+                for f in ld.mpe_enumerate(G)]
+        assert fast == mpe_enumerate_scan(G)
+        if v <= 9:
+            assert fast == naive_mpe(G)
+    assert ld.mpe_lattice(graphs[0]).n == (v // 2 + 1) * (v - v // 2 + 1)
+
+
+def test_next_closure_keeps_only_the_table_entries_it_reads():
+    """1,000 isolated loops reach the bound of the map lattice after a few
+    thousand closures, which fill under 2,000 of the 32,000 byte unions
+    per side: the tables stay far below the full set, 256 v-bit unions
+    per byte."""
+    G = Digraph(tuple(1 << x for x in range(1000)))
+    with pytest.raises(ld.BoundTooLarge):
+        ld.mpe_lattice(G)
+    rows, cols = duality._closure_tables(G)
+    assert len(rows) == len(cols) == 125
+    assert sum(map(len, rows)) < 2000 and sum(map(len, cols)) < 2000
+
+
 def test_one_sets_determine_zero_sets_oppositely():
     for name in ("N5", "L4", "L3D", "M3", "K"):
         maps = ld.mpe_enumerate(ld.dual_digraph(ld.fixture(name)))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latdual as ld
-from latdual._bits import bits, permute
+from latdual._bits import bits, permute, transpose
 from latdual.lattice import FiniteLattice
 from oracles import (
     assert_no_square_table,
@@ -13,6 +13,7 @@ from oracles import (
     is_lattice,
     is_partial_order,
     lattice_isomorphic_brute,
+    relabel_rows,
 )
 
 
@@ -95,6 +96,46 @@ def test_from_covers_closes_exactly_the_acyclic_lists(drawn):
         return
     assert not cyclic
     assert L.up == tuple(reach)
+    assert L.down == transpose(L.up)
+
+
+# factors of the drawn products: 2 to 7 elements, distributive or not
+FACTORS = ("CHAIN(2)", "CHAIN(3)", "B2", "N5", "M3", "L4", "K")
+
+
+@st.composite
+def padded_cover_lists(draw):
+    """(n, pairs, up): a product of one or two fixtures, shuffled, listed
+    by its covers padded with drawn order pairs that are not covers and
+    with repeated pairs, in drawn order; ``up`` is its order."""
+    up = (1,)
+    for name in draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=2)):
+        F = ld.fixture(name)
+        up = tuple(sum(1 << i * F.n + j for i in bits(a) for j in bits(b))
+                   for a in up for b in F.up)
+    n = len(up)
+    perm = draw(st.permutations(range(n)))
+    up = relabel_rows(up, perm)
+    covers = cover_pairs(up)
+    longer = [(a, b) for a in range(n) for b in bits(up[a]) if a != b and (a, b) not in covers]
+    extra = draw(st.lists(st.sampled_from(longer), max_size=8)) if longer else []
+    repeats = draw(st.lists(st.sampled_from(covers), max_size=4)) if covers else []
+    pairs = draw(st.permutations(covers + extra + repeats))
+    return n, pairs, up
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_cover_lists())
+def test_from_covers_builds_both_rows_and_the_covers(drawn):
+    """The down rows come from the cover pass, not a transpose: they are
+    the converse of the up rows, and the cover rows swept from both are
+    the covers, whatever redundant or repeated pairs the list holds."""
+    n, pairs, up = drawn
+    L = ld.from_covers(n, pairs)
+    assert L.up == up
+    assert L.down == transpose(up)
+    assert list(L.covers) == cover_pairs(up)
+    assert L.bottom == up.index((1 << n) - 1)
 
 
 def test_from_covers_rejects_self_cover():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,6 +362,42 @@ def test_md_reads_the_order_of_an_interval_not_only_its_size():
             (a,) = r.witness
             fooling += interval(M, mu(M, a), a).n == 1 << len(M.lower_covers(a))
     assert fooling == 24
+
+
+def _md_matches_both_references(L, label):
+    """md's report equals the definitional scan's and that of its lemma
+    tested member by member; True iff md holds."""
+    w = oracles.md_witness(L)
+    assert oracles.md_rows_witness(L) == w, label
+    assert ld.check_lattice_property("md", L) == PropertyReport("md", w is None, w), label
+    return w is None
+
+
+def test_md_matches_both_references_on_every_lattice_up_to_ten_elements():
+    entries = ld.enumerate_lattices(10).entries
+    assert len(entries) == 7372
+    holding = sum(_md_matches_both_references(L, i) for i, L in enumerate(entries))
+    assert holding == 133
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_md_matches_both_references_on_convex_set_lattices(seed):
+    rng = random.Random(seed)
+    points = [(rng.randrange(1000), rng.randrange(1000)) for _ in range(6)]
+    L = cld_lattice(ClosureSystem(len(points), oracles.convex_sets(points)))
+    # a convex geometry: meet-distributive, so every subset check runs;
+    # its order dual is md iff it is distributive, iff all 64 sets are convex
+    assert _md_matches_both_references(L, seed)
+    assert _md_matches_both_references(order_dual(L), seed) == (L.n == 64)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_md_matches_both_references_on_failing_products(k):
+    n5 = lattice_product(ld.fixture("N5"), chain_product(*[2] * k))
+    m3 = lattice_product(ld.fixture("M3"), chain(k + 1))
+    for L in (n5, m3):
+        for M in (L, order_dual(L)):
+            assert not _md_matches_both_references(M, (L.n, M is L))
 
 
 # the deciders that read only order and cover rows
