@@ -275,7 +275,7 @@ def check_fis(G):
         either = g0 | g1
         if either:
             z = (either & -either).bit_length() - 1
-            return _report("fis", ("G0" if g0 >> z & 1 else "G1", (x, y, z)))
+            return _report("fis", (G0 if g0 >> z & 1 else G1, (x, y, z)))
     return _report("fis", None)
 
 

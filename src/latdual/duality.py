@@ -257,7 +257,13 @@ def _lattice_certificate(L, G, M):
     """The isomorphism of Theorem 2.6 from L onto M, the map lattice of G,
     a digraph on MDFIPs (a_i, b_i) of L: c goes to one-set {i : a_i <= c}.
     None unless the map is ``certified``, as when G carries no MDFIPs or
-    some a_i is not an element of L."""
+    some a_i is not an element of L.
+
+    The map is certified on cover rows, not order rows: a bijection that
+    carries the covers of L exactly onto those of M carries the orders
+    they generate, since each order is the reflexive transitive closure
+    of its covers. On 2^12 that compares 24,576 cover bits, not 531,441
+    order bits."""
     gens = [a for a, _ in G.mdfips or ()]
     if not all(0 <= a < L.n for a in gens):
         return None
@@ -267,7 +273,7 @@ def _lattice_certificate(L, G, M):
         for c in bits(L.up[a]):
             ones[c] |= 1 << i
     m = tuple(index.get(s) for s in ones)
-    return m if certified(L.up, M.up, m) else None
+    return m if certified(L._upper, M._upper, m) else None
 
 
 def _digraph_certificate(G, M, D):

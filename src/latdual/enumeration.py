@@ -1,15 +1,16 @@
 """Exhaustive enumeration of small lattices and small dual-class digraphs,
 one representative per isomorphism class.
 
-Meet semilattices are generated levelwise: a semilattice with a naturally
-labelled order (the labelling is a linear extension) grows by one new
-maximal element placed above a down-set d, subject to the new element
-having a meet with every x: d & down[x] must be some element's down row.
-Removing a maximal element from any such semilattice lands back in the
-previous level, so the sweep is complete; canonical forms collapse
-labellings. A lattice on n elements is a meet semilattice on n - 1
-elements with a top adjoined, and adjoining a top to a meet semilattice
-always gives a lattice.
+Lattices are generated levelwise from the canonical lattices one element
+smaller: the top of a lattice on n - 1 elements is dropped, a new coatom
+is placed above a down-set d of what remains, subject to the new element
+having a meet with every x (d & down[x] must be some element's down
+row), and the top goes back. An extension is dropped when an element
+other than the top has a larger down-set than the new coatom. Removing
+a coatom with the largest down-set from any lattice on n >= 3 elements
+lands back in the previous level, so the sweep is complete; one
+canonical form per kept extension collapses labellings, and canonical
+rows keep the bottom first and the top last, which the next level reads.
 
 Digraphs are found by a depth-first assignment of reflexive rows that
 makes three cuts before the full axiom check, in the spirit of McKay's
@@ -27,10 +28,11 @@ a class's last sorted member. Canonical forms then collapse the
 labellings that remain. The search never consults the lattice-side
 generator.
 
-Canonical forms of these rows, digraphs and semilattice orders alike, get
-a constant seed: the first refinement round already splits the vertices
-by (out-degree, in-degree), so degree seeds would only repeat it. They
-are not memoised, as a row tuple almost never comes up twice.
+Canonical forms of lattices are seeded by the lattice invariants, heights
+first. Those of digraphs get a constant seed: the first refinement round
+already splits the vertices by (out-degree, in-degree), so degree seeds
+would only repeat it. Neither is memoised, as a row tuple almost never
+comes up twice.
 
 Each catalog level is cached as rows, never as objects: a lattice level
 holds the sorted canonical order rows, a digraph level the sorted
@@ -74,43 +76,66 @@ _canonical_form = _canon.canonical_form
 
 
 @lru_cache(maxsize=None)
-def _semilattice_level(k):
-    """Canonical representatives of meet semilattices on k elements."""
-    if k == 1:
-        return ((1,),)
+def _lattice_level(n):
+    """Canonical order rows of the lattices on n elements, sorted.
+
+    Level n grows from level n - 1. The top of a parent is dropped, which
+    leaves a meet semilattice on k = n - 2 elements; a new coatom goes
+    above a down-set d of it, and the top goes back above everything.
+    An extension is kept only if no element but the top has a larger
+    down-set than the new coatom. Each kept extension gets one canonical
+    form, and a class is kept under its key.
+
+    Completeness: a lattice L on n >= 3 elements has a coatom c other
+    than its bottom; take one with the largest down-set, which is then
+    the largest of any element but the top, as each lies below a
+    coatom. Removing c leaves a lattice: no meet of two other elements
+    is c, since only c and the top lie above c, so meets are unchanged;
+    a join that was c becomes the top. So L - c is in a class of level
+    n - 1, and the extension of that class's representative above the
+    image of down(c) - c regenerates L and passes the size test. The
+    two order filters pass exactly the d for which the new element
+    meets every element, and a meet semilattice with a top adjoined is
+    a lattice.
+
+    Labelling: ``_refine`` keeps cells in seed order, and height is the
+    first seed of ``_invariants``, so canonical rows are labelled by
+    height: the bottom is 0, the top is last, and every element of a
+    parent other than its top lies below index k.
+
+    Identity: a level is the sorted set of its classes' canonical rows,
+    which does not depend on the path that generated the classes.
+    """
+    if n <= 2:
+        return ((1,),) if n == 1 else ((3, 2),)
+    k = n - 2
+    top = 1 << k
     reps = {}
-    for rows in _semilattice_level(k - 1):
-        n = k - 1
-        down = transpose(rows)
+    for rows in _lattice_level(n - 1):
+        down = transpose(rows)[:k]
         principal = set(down)
-        # candidate down-sets for the new maximal element; every
-        # nonempty down-set contains the least element 0
-        for d in range(1, 1 << n, 2):
-            if union(down, d) & ~d:
+        # the new coatom's down-set, d and itself, may be no smaller than
+        # any other element's but the top's
+        least = max(dx.bit_count() for dx in down) - 1
+        # candidate down-sets of the new coatom; every nonempty down-set
+        # contains the bottom 0
+        for d in range(1, top, 2):
+            if d.bit_count() < least or union(down, d) & ~d:
                 continue
-            # the new element meets x iff d & down[x] is a down row
+            # the new coatom meets x iff d & down[x] is a down row
             if any(d & dx not in principal for dx in down):
                 continue
-            new_rows = [rows[i] | (1 << n if d >> i & 1 else 0) for i in range(n)]
-            new_rows.append(1 << n)
-            # dedup by canonical key but keep the natural labelling, since
-            # the next extension round needs element 0 at the bottom and
-            # the order compatible with the integer order
-            key = _canonical_form(tuple(new_rows), (0,) * k)[0]
-            reps.setdefault(key, tuple(new_rows))
-    return tuple(sorted(reps.values()))
-
-
-@lru_cache(maxsize=None)
-def _lattice_level(n):
-    """Canonical order rows of the lattices on n elements, sorted."""
-    top = 1 << (n - 1)
-    out = []
-    for rows in _semilattice_level(n - 1) if n > 1 else ((),):
-        L = FiniteLattice([r | top for r in rows] + [top])
-        out.append(permute(L.up, _canonical_form(L.up, _invariants(L))[1]))
+            # the parent's top k becomes the coatom above d, and k + 1
+            # the new top
+            L = FiniteLattice(
+                [(r if d >> i & 1 else r ^ top) | top << 1 for i, r in enumerate(rows[:k])]
+                + [top | top << 1, top << 1]
+            )
+            key, perm = _canonical_form(L.up, _invariants(L))
+            if key not in reps:
+                reps[key] = permute(L.up, perm)
     # rows of one width sort as their canonical keys do
-    return tuple(sorted(out))
+    return tuple(sorted(reps.values()))
 
 
 def _lattices(max_n):

@@ -1,4 +1,4 @@
-"""Named example lattices used by tests, docs and the verification harness.
+"""Named example lattices used by tests and docs.
 
 Labels are single letters with 0 and 1 for bottom and top, so MDFIP
 vertices of the dual digraphs get two-letter names like "ab".

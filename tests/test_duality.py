@@ -381,6 +381,28 @@ def test_the_row_check_rejects_all_but_isomorphisms(catalog6, tirs4):
     assert rejected
 
 
+def test_cover_rows_certify_exactly_as_order_rows_do(catalog7):
+    """On every lattice with up to 7 elements, the lattice certificate and
+    its corruptions (two images swapped, one image repeated, the last one
+    dropped) pass the cover-row check iff they pass the order-row check."""
+    verdicts = set()
+    for L in catalog7.entries:
+        G = ld.dual_digraph(L)
+        M = ld.mpe_lattice(G)
+        m = duality._lattice_certificate(L, G, M)
+        assert m is not None and duality.certified(L.up, M.up, m)
+        maps = [m, m[:-1], (m[-1],) + m[1:]]
+        for i, j in combinations(range(L.n), 2):
+            swapped = list(m)
+            swapped[i], swapped[j] = m[j], m[i]
+            maps.append(tuple(swapped))
+        for f in maps:
+            verdict = duality.certified(L._upper, M._upper, f)
+            assert verdict == duality.certified(L.up, M.up, f), (L.up, f)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_the_named_isomorphism_decides_every_small_case(catalog7, tirs5):
     for L in catalog7.entries:
         G = ld.dual_digraph(L)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import latdual as ld
@@ -22,6 +24,10 @@ EXPECTED_LATTICE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994,
 }
 EXPECTED_TIRS_COUNTS = {1: 1, 2: 2, 3: 6, 4: 32, 5: 281}
+# sha256 of repr([L.up for L in enumerate_lattices(8).entries]): the
+# canonical rows themselves, in catalog order, which the campaign report
+# follows; CI pins the n <= 10 catalog the same way
+CATALOG_8_SHA256 = "064d723ad391bbdbfc95827075556a23ea65f2f1d2a09c8bce965ef6acde8fca"
 
 
 def test_counts_match_independent_scan(catalog6):
@@ -33,17 +39,22 @@ def test_frozen_counts(catalog7):
     assert catalog7.counts() == {n: c for n, c in EXPECTED_LATTICE_COUNTS.items() if n <= 7}
 
 
+def test_frozen_catalog_rows():
+    rows = [L.up for L in ld.enumerate_lattices(8).entries]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CATALOG_8_SHA256
+
+
 def test_frozen_count_at_the_bound():
-    """Levels up to n = 9 here; the 5,994 lattices at the bound n = 10 take
-    several seconds and are counted by the n <= 10 campaign in CI."""
+    """Levels up to n = 9 here; the 5,994 lattices at the bound n = 10 are
+    counted by the n <= 10 campaign in CI, and their rows pinned there."""
     assert MAX_LATTICE_N == 10
     cat = ld.enumerate_lattices(9)
     assert cat.counts() == {n: c for n, c in EXPECTED_LATTICE_COUNTS.items() if n <= 9}
     assert cat.max_n == 9
 
 
-def test_entries_are_valid_and_naturally_labelled(catalog6):
-    for L in catalog6.entries:
+def test_entries_are_valid_and_naturally_labelled(catalog7):
+    for L in catalog7.entries:
         assert L.bottom == 0 and L.top == L.n - 1
         for i in range(L.n):
             for j in range(i):
@@ -83,23 +94,26 @@ def test_lattice_bound_errors():
 
 
 def test_semilattice_extensions_match_the_definition():
-    """For every down-set d of every representative on k <= 6 elements,
-    the order with a new maximal element above d is a meet semilattice by
-    definition iff its class is in level k + 1; those classes make up the
-    level."""
+    """For every down-set d of every level-(k + 1) lattice with its top
+    dropped, k <= 6, the order with a new maximal element above d is a
+    meet semilattice by definition iff, with a top adjoined, its class is
+    in level k + 2; those classes make up the level."""
     verdicts = set()
     for k in range(1, 7):
-        level = {_canon.canonical_form(rows, (0,) * (k + 1))[0] for rows in en._semilattice_level(k + 1)}
+        top = 1 << k + 1
+        level = {_canon.canonical_form(rows, (0,) * (k + 2))[0] for rows in en._lattice_level(k + 2)}
         found = set()
-        for rows in en._semilattice_level(k):
+        for parent in en._lattice_level(k + 1):
+            rows = tuple(r & ~(1 << k) for r in parent[:k])
             for d in range(1 << k):
                 # d is a down-set: whatever lies below a member is a member
                 if any(d >> i & 1 and not d >> j & 1 for i in range(k) for j in range(k) if rows[j] >> i & 1):
                     continue
                 new = tuple(row | (d >> i & 1) << k for i, row in enumerate(rows)) + (1 << k,)
-                key = _canon.canonical_form(new, (0,) * (k + 1))[0]
+                lattice = tuple(row | top for row in new) + (top,)
+                key = _canon.canonical_form(lattice, (0,) * (k + 2))[0]
                 ok = is_meet_semilattice(new)
-                assert (key in level) == ok, (rows, d)
+                assert (key in level) == ok, (parent, d)
                 verdicts.add((bool(d), ok))
                 if ok:
                     found.add(key)
@@ -110,10 +124,31 @@ def test_semilattice_extensions_match_the_definition():
 
 def test_determinism_under_cache_reset(catalog5):
     keys = [ld.canonical_key(L) for L in catalog5.entries]
-    en._semilattice_level.cache_clear()
     en._lattice_level.cache_clear()
     again = [ld.canonical_key(L) for L in ld.enumerate_lattices(5).entries]
     assert keys == again
+
+
+def test_each_kept_extension_gets_one_canonical_form(monkeypatch):
+    """Levels 1..8 take 450 canonical forms: one per extension that passes
+    the order filters and the down-set size test (694 pass the order
+    filters alone; a semilattice level and a second form per lattice took
+    994). The size test drops only work, never a class, as the pinned
+    catalog rows show."""
+    calls = []
+    form = en._canonical_form
+
+    def counted(rows, seeds):
+        calls.append(len(rows))
+        return form(rows, seeds)
+
+    monkeypatch.setattr(en, "_canonical_form", counted)
+    en._lattice_level.cache_clear()
+    try:
+        assert len(en._lattice_level(8)) == EXPECTED_LATTICE_COUNTS[8]
+    finally:
+        en._lattice_level.cache_clear()
+    assert len(calls) == 450 and set(calls) == set(range(3, 9))
 
 
 def test_tirs_counts(tirs4, tirs5):
