@@ -10,7 +10,7 @@ errors read as argparse prints them. ``dual``, ``primal``, ``check`` and
 
 Exit codes: 0 success (and property holds / roundtrip closes / all
 statements verified), 1 a checked property or statement fails, 2 usage or
-input errors.
+input errors, and inputs too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -228,8 +228,12 @@ def main(argv=None):
     try:
         return COMMANDS[args.command][0](args)
     except (LatdualError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = exc
+    except MemoryError:
+        # printed once this block has freed the traceback and what its frames hold
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

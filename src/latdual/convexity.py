@@ -59,6 +59,10 @@ class ClosureSystem:
 
     @classmethod
     def from_sets(cls, ground, sets):
+        # the range first: a point such as 10**10 would need a mask of that many bits
+        for s in sets:
+            if any(x >= ground for x in s):
+                raise ValueError(f"closed set {sorted(set(s))} leaves the ground set")
         return cls(ground, [mask(s) for s in sets])
 
     @cached_property

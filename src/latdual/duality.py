@@ -9,8 +9,9 @@ fails. The relation is reflexive precisely because each pair is disjoint.
 Digraph to lattice: elements are the maximal partial maps V -> {0, 1}
 whose domain avoids mapping an arc source to 1 and its target to 0
 (arc-preserving partial two-colourings), ordered by inclusion of their
-one-sets. For a reflexive digraph these maps biject with the fixpoints of
-a closure operator on one-sets, which is how they are enumerated here.
+one-sets. For a reflexive digraph these maps biject with the closed sets
+of a Galois connection on one-sets, and those are enumerated here as all
+intersections of the sets {u : no arc u -> z}, one per vertex z.
 
 Both round trips first try the isomorphism that Theorem 2.6 names (see
 ``_lattice_certificate``, ``_digraph_certificate``), accepted only as a
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits, mask, permute
+from ._bits import bits, mask, permute, union
 from .digraph import Digraph, digraph_isomorphic
 from .errors import BoundTooLarge, NotDisjoint
 from .lattice import FiniteLattice, join_irreducibles, lattice_isomorphic, meet_irreducibles
@@ -135,95 +136,37 @@ def _one_sets(G):
     on the first call for a digraph and kept on it as a tuple."""
     sets = vars(G).get("_one_sets")
     if sets is None:
-        sets = G._one_sets = tuple(sorted(_next_closure(G), key=lambda m: (m.bit_count(), m)))
+        sets = G._one_sets = tuple(sorted(_intersections(G), key=lambda m: (m.bit_count(), m)))
     return sets
 
 
-class _Unions(dict):
-    """The unions of up to eight rows, one byte of a vertex set: entry m
-    is the union of ``rows[i]`` over the set bits i of m, one OR of a row
-    onto the entry without the lowest bit of m. An entry is found when
-    first read and kept, so a table holds only the entries its closures
-    read: at most 256, often far fewer on large digraphs."""
-
-    def __init__(self, rows):
-        super().__init__({0: 0})
-        self.rows = rows
-
-    def __missing__(self, m):
-        low = m & -m
-        row = self[m] = self[m ^ low] | self.rows[low.bit_length() - 1]
-        return row
-
-
-def _union(tables, u):
-    # the union of the rows over the set bits of u: one lookup per byte
-    out = 0
-    for table in tables:
-        if not u:
-            break
-        out |= table[u & 255]
-        u >>= 8
-    return out
-
-
-def _closure_tables(G):
-    """Per byte of the vertex set of G, the unions of its rows and of its
-    columns, kept on the digraph: NextClosure and the certificate of
-    Theorem 2.6 close one-sets through them."""
-    tables = vars(G).get("_closure_tables")
-    if tables is None:
-        tables = G._closure_tables = tuple(
-            [_Unions(rows[lo : lo + 8]) for lo in range(0, G.v, 8)] for rows in (G.rows, G.cols)
-        )
-    return tables
-
-
-def _close(tables, full, u):
-    """U(Z(U)) of ``_next_closure`` for a one-set mask u: Z and U are
-    complements of unions of rows and of columns, each read from the
-    ``_closure_tables`` in one lookup per byte of u or of Z."""
-    rows, cols = tables
-    return full & ~_union(cols, full & ~_union(rows, u))
-
-
-def _next_closure(G):
-    """Lectic NextClosure over the one-sets of the maximal maps.
+def _intersections(G):
+    """The one-sets of the maximal maps of G, as a set of masks.
 
     For a one-set U the largest legal zero-set is
     Z(U) = {z : no arc from U into z}, and symmetrically
-    U(Z) = {u : no arc from u into Z}. Maximal maps are exactly the
-    pairs fixed by the round trip, so their one-sets are the closed
-    sets of U -> U(Z(U)). Each closure takes ceil(v/8) table lookups per
-    side (``_close``), whatever the size of U or Z.
+    U(Z) = {u : no arc from u into Z}. Maximal maps are exactly the pairs
+    fixed by the round trip, so their one-sets are the closed sets of
+    this Galois connection: the intersections of the sets
+    U({z}) = {u : no arc u -> z}, the empty one being the full set. Each
+    column meets every set found so far; the family only grows, so it
+    is over the bound as soon as it has more members than the bound.
     """
-    tables, v = _closure_tables(G), G.v
-    full = (1 << v) - 1
-    sets = []
-    a = _close(tables, full, 0)
-    while True:
-        sets.append(a)
-        if len(sets) > MAX_MAP_LATTICE_N:
-            raise BoundTooLarge(
-                f"the map lattice has more than {MAX_MAP_LATTICE_N} elements"
-            )
-        for i in range(v - 1, -1, -1):
-            if a >> i & 1:
-                continue
-            below = a & ((1 << i) - 1)
-            b = _close(tables, full, below | 1 << i)
-            if b & ((1 << i) - 1) & ~below == 0:
-                a = b
-                break
-        else:
-            return sets
+    full = (1 << G.v) - 1
+    found = {full}
+    for col in G.cols:
+        found.update([s & ~col for s in found])
+        if len(found) > MAX_MAP_LATTICE_N:
+            raise BoundTooLarge(f"the map lattice has more than {MAX_MAP_LATTICE_N} elements")
+    return found
 
 
 def map_masks(G):
     """The (one-set, zero-set) masks of the maximal maps of G, sorted; the
-    zero-set is Z(U) of ``_close``, so distinct maps differ in one-sets."""
-    rows, full = _closure_tables(G)[0], (1 << G.v) - 1
-    return [(u, full & ~_union(rows, u)) for u in sorted(_one_sets(G))]
+    zero-set is Z(U) of ``_intersections``, the vertices no arc from the
+    one-set reaches, so distinct maps differ in one-sets."""
+    full = (1 << G.v) - 1
+    return [(u, full & ~union(G.rows, u)) for u in sorted(_one_sets(G))]
 
 
 def mpe_enumerate(G):
@@ -237,10 +180,10 @@ def mpe_lattice(G):
 
     Elements are indexed by (size of one-set, one-set mask) increasing,
     so index 0 is the all-zeros map and the last index the all-ones map.
-    The one-sets are the closed sets of ``_close``, the closure operator
-    of a Galois connection, so for every digraph, looped or not, they
-    contain the full set and are closed under intersection: they pass
-    the checks of ``FiniteLattice.of_sets``, which still runs them.
+    The one-sets, found by ``_intersections``, are the closed sets of a
+    Galois connection, so for every digraph, looped or not, they contain
+    the full set and are closed under intersection: they pass the checks
+    of ``FiniteLattice.of_sets``, which still runs them.
     """
     return FiniteLattice.of_sets(_one_sets(G))
 
@@ -279,13 +222,14 @@ def _lattice_certificate(L, G, M):
 def _digraph_certificate(G, M, D):
     """The isomorphism of Theorem 2.6 from G onto D, the dual digraph of
     M, the map lattice of G: x goes to the MDFIP with the one-sets
-    close({x}) and all but in(x). None unless the map is ``certified``."""
+    U(Z({x})) and all but in(x), U and Z as in ``_intersections``. None
+    unless the map is ``certified``."""
     index = {s: i for i, s in enumerate(_one_sets(G))}
     vertex = {p: j for j, p in enumerate(D.mdfips or ())}
-    tables, cols, full = _closure_tables(G), G.cols, (1 << G.v) - 1
+    full = (1 << G.v) - 1
     m = tuple(
-        vertex.get((index.get(_close(tables, full, 1 << x)), index.get(full & ~cols[x])))
-        for x in range(G.v)
+        vertex.get((index.get(full & ~union(G.cols, full & ~row)), index.get(full & ~col)))
+        for row, col in zip(G.rows, G.cols)
     )
     return m if certified(G.rows, D.rows, m) else None
 

@@ -49,6 +49,7 @@ from .digraph import Digraph, _reduction_witness, check_tirs, digraph_to_json
 from .duality import (
     dual_digraph,
     map_masks,
+    maximal_extensions,
     mdfips,
     mdfips_bruteforce,
     mpe_lattice,
@@ -73,10 +74,6 @@ class _Case:
 
     def __init__(self):
         self._flags = {}
-
-    @cached_property
-    def map_masks(self):
-        return map_masks(self.digraph)
 
     def flag(self, name):
         """A lattice law of the lattice, or a digraph condition of the
@@ -328,16 +325,12 @@ def _prop_3_7(case):
 
 def _lem_5_1(case):
     L = case.lattice
-    up, down = L.up, L.down
     pairs = case.pairs
     idx = {p: i for i, p in enumerate(pairs)}
     rows = case.digraph.rows
     for z0, a, b, c, o in find_n5_sublattices(L):
-        # the maximal extensions of the pairs (a, c), (c, b) and (b, a)
-        xs, ys, ws = (
-            [pair for pair in pairs if down[u] >> pair[0] & 1 and up[v] >> pair[1] & 1]
-            for u, v in ((a, c), (c, b), (b, a))
-        )
+        # all three pairs are disjoint in a pentagon
+        xs, ys, ws = (maximal_extensions(L, u, v) for u, v in ((a, c), (c, b), (b, a)))
         for x in xs:
             for y in ys:
                 for w in ws:
@@ -429,8 +422,8 @@ REGISTRY = (
         "PLOSCICA_LEMMA",
         "between maximal arc-preserving maps, one-set inclusion is "
         "equivalent to reverse zero-set inclusion",
-        lattice_check=lambda case: _ploscica(case.map_masks),
-        digraph_check=lambda case: _ploscica(case.map_masks),
+        lattice_check=lambda case: _ploscica(map_masks(case.digraph)),
+        digraph_check=lambda case: _ploscica(map_masks(case.digraph)),
     ),
     TheoremRecord(
         "LEM_3_1",

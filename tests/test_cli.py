@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -142,6 +143,25 @@ def test_primal_over_the_map_lattice_bound(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "4096" in captured.err
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("primal", {"v": 60000, "arcs": []}),
+    ("dual", {"n": 300000000, "covers": []}),
+], ids=["primal-60000-vertices", "dual-300000000-elements"])
+def test_running_out_of_memory_is_an_input_error(tmp_path, command, obj):
+    """An input too large for the memory at hand exits 2, not 1, which
+    would say a checked property fails. Each runs in a fresh process
+    within 400 MB of address space."""
+    limit = 400_000 * 1024
+    r = subprocess.run(
+        [sys.executable, "-m", "latdual", command, digraph_file(tmp_path, obj)],
+        capture_output=True, text=True, env=_source_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.splitlines()[-1] == "error: out of memory"
 
 
 def test_verify_theorems_with_report(tmp_path, capsys):

@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +302,27 @@ def test_geometry_is_the_join_irreducibles_below_each_element(catalog7, convex95
 def test_closure_json_rejects_malformed_shapes(obj, message):
     with pytest.raises(ValueError, match=message):
         closure_from_json(obj)
+
+
+def test_a_far_point_is_refused_before_its_mask_is_built():
+    """A point at 10**10 would need a mask of 10**10 bits, over a GB: run
+    in a fresh process within 400 MB of address space, the range check
+    must refuse it first."""
+    code = (
+        "from latdual.convexity import closure_from_json\n"
+        "try:\n"
+        "    closure_from_json({'ground': 3, 'closed': [[0, 1, 2], [10**10]]})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    limit = 400_000 * 1024
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ld.__file__).resolve().parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "closed set [10000000000] leaves the ground set\n"
 
 
 def test_json_roundtrip():

@@ -232,18 +232,18 @@ def test_the_catalog_builds_new_lattices_on_each_call():
 
 def test_the_map_one_sets_are_swept_once_per_digraph(monkeypatch):
     """Every digraph the campaign meets, a lattice's dual or from a
-    catalog, has its NextClosure sweep run once, though its maps
-    (PLOSCICA_LEMMA) and its map lattice (THM_2_6) both read it. Both
-    sides run here, as verify_theorems runs the digraph side in a child
-    process."""
+    catalog, has the intersections that make its one-sets swept once,
+    though its maps (PLOSCICA_LEMMA) and its map lattice (THM_2_6) both
+    read them. Both sides run here, as verify_theorems runs the digraph
+    side in a child process."""
     runs = []
 
     def counting(G):
         runs.append(G)
         return sweep(G)
 
-    sweep = duality._next_closure
-    monkeypatch.setattr(duality, "_next_closure", counting)
+    sweep = duality._intersections
+    monkeypatch.setattr(duality, "_intersections", counting)
     on_lattices, checks = _both_sides_here(runs)
     assert len(runs) == len(set(map(id, runs)))
     # the duals of 25 catalog lattices on the lattice side; on the digraph
