@@ -52,9 +52,17 @@ def json_pairs(items, key):
     return tuple(tuple(p) for p in items)
 
 
-def transpose(rows):
-    """The converse relation: bit i of row j is set iff bit j of row i is."""
-    cols = [0] * len(rows)
+def dot_string(text):
+    """text as a DOT quoted string, its backslashes and double quotes
+    escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def transpose(rows, width=None):
+    """The converse relation: bit i of column j is set iff bit j of row
+    i is. There are ``width`` columns, by default one per row; every row
+    must lie below bit ``width``."""
+    cols = [0] * (len(rows) if width is None else width)
     for i, row in enumerate(rows):
         b = 1 << i
         while row:
@@ -84,10 +92,7 @@ def inclusion(sets):
     ``sets[j]``. Both come from the membership columns: row i is the AND
     of the columns of the elements of ``sets[i]``, converse row j the
     sets in no column outside ``sets[j]``."""
-    cols = [0] * max(sets, default=0).bit_length()
-    for j, s in enumerate(sets):
-        for x in bits(s):
-            cols[x] |= 1 << j
+    cols = transpose(sets, max(sets, default=0).bit_length())
     full = (1 << len(sets)) - 1
     rows, conv = [], []
     for s in sets:

@@ -12,18 +12,20 @@ which is the partition that those degrees as seeds would give.
 
 A search tree then individualizes, in turn, each vertex of the first cell
 with more than one vertex and refines again. Its leaves are vertex
-orderings, and the key is the least adjacency encoding over the leaves.
-A leaf that encodes like the best leaf so far gives an automorphism, and
-the automorphisms prune the tree: a child in the orbit of an explored
-child, under those that fix the node's individualized vertices, is not
-entered. The key is exact for every n. Inputs built to defeat refinement
-can still take exponential time, but Boolean lattices, M_k, their dual
-digraphs and lattices of convex sets take milliseconds.
+orderings, and the key is the least of the row tuples that the leaves
+relabel the relation to, as the canonical form of McKay & Piperno is the
+relabelled graph itself. A leaf whose rows equal the best leaf's gives
+an automorphism, and the automorphisms prune the tree: a child in the
+orbit of an explored child, under those that fix the node's
+individualized vertices, is not entered. The key is exact for every n.
+Inputs built to defeat refinement can still take exponential time, but
+Boolean lattices, M_k, their dual digraphs and lattices of convex sets
+take milliseconds.
 """
 
 from __future__ import annotations
 
-from ._bits import bits, permute, transpose
+from ._bits import bits, permute
 
 
 def _refine(rows, cols, n, cells):
@@ -48,14 +50,6 @@ def _refine(rows, cols, n, cells):
             break
         cells = out
     return cells
-
-
-def _encode(rows, n, perm):
-    # perm maps position -> original vertex
-    enc = 0
-    for row in permute(rows, perm):
-        enc = (enc << n) | row
-    return enc
 
 
 def _close(mask, gens):
@@ -105,27 +99,24 @@ class _Node:
         return cells
 
 
-def canonical_form(rows, seeds):
-    """Return (key, perm) where key identifies the isomorphism class.
-
-    perm maps canonical position to original vertex and witnesses the
-    relabelling that produces the key. Isomorphic inputs with comparable
-    seed invariants get identical keys.
+def canonical_form(rows, cols, seeds):
+    """Return (key, perm): key is the relation relabelled to its canonical
+    form, a tuple of rows, and perm maps canonical position to original
+    vertex, so that key is ``permute(rows, perm)``. ``cols`` is the
+    converse of ``rows``. Isomorphic inputs with comparable seed
+    invariants get identical keys.
     """
     rows = tuple(rows)
     n = len(rows)
-    if n == 0:
-        return (0, 0), ()
-    cols = transpose(rows)
     by_seed = {}
     for v, s in enumerate(seeds):
         by_seed[s] = by_seed.get(s, 0) | 1 << v
     cells = _refine(rows, cols, n, [by_seed[s] for s in sorted(by_seed)])
     if len(cells) == n:
         perm = tuple(c.bit_length() - 1 for c in cells)
-        return (n, _encode(rows, n, perm)), perm
-    best = None  # (encoding, perm, path) of the least leaf so far
-    autos = []  # v -> image tables, one per leaf that encoded like the best
+        return permute(rows, perm), perm
+    best = None  # (rows, perm, path) of the least leaf so far
+    autos = []  # v -> image tables, one per leaf that relabelled like the best
     stack = [_Node(cells, ())]  # stack[d] is the node at depth d
     while stack:
         node = stack[-1]
@@ -139,10 +130,10 @@ def canonical_form(rows, seeds):
             stack.append(_Node(cells, path))
             continue
         perm = tuple(c.bit_length() - 1 for c in cells)
-        enc = _encode(rows, n, perm)
-        if best is None or enc < best[0]:
-            best = (enc, perm, path)
-        elif enc == best[0]:
+        leaf = permute(rows, perm)
+        if best is None or leaf < best[0]:
+            best = (leaf, perm, path)
+        elif leaf == best[0]:
             g = [0] * n
             for a, b in zip(best[1], perm):
                 g[a] = b
@@ -154,17 +145,17 @@ def canonical_form(rows, seeds):
             while path[d] == best[2][d]:
                 d += 1
             del stack[d + 1 :]
-    return (n, best[0]), best[1]
+    return best[0], best[1]
 
 
-def isomorphism(rows1, seeds1, rows2, seeds2):
-    """Mapping vertex->vertex carrying relation 1 onto relation 2, or None."""
-    key1, p1 = canonical_form(rows1, seeds1)
-    key2, p2 = canonical_form(rows2, seeds2)
+def isomorphism(rows1, cols1, seeds1, rows2, cols2, seeds2):
+    """Mapping vertex->vertex carrying relation 1 onto relation 2, or None;
+    ``cols1`` and ``cols2`` are the converses."""
+    key1, p1 = canonical_form(rows1, cols1, seeds1)
+    key2, p2 = canonical_form(rows2, cols2, seeds2)
     if key1 != key2:
         return None
-    n = len(tuple(rows1))
-    out = [0] * n
-    for pos in range(n):
-        out[p1[pos]] = p2[pos]
+    out = [0] * len(p1)
+    for v, w in zip(p1, p2):
+        out[v] = w
     return tuple(out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _canon
-from ._bits import bits, json_pairs, transpose, union
+from ._bits import bits, dot_string, json_pairs, transpose, union
 from .errors import NotReflexive, UnknownProperty
 
 
@@ -307,17 +307,20 @@ def digraph_isomorphic(G1, G2):
     """Arc-preserving bijection test; returns (ok, mapping or None)."""
     if G1.v != G2.v:
         return False, None
-    m = _canon.isomorphism(G1.rows, (0,) * G1.v, G2.rows, (0,) * G2.v)
+    m = _canon.isomorphism(G1.rows, G1.cols, (0,) * G1.v, G2.rows, G2.cols, (0,) * G2.v)
     return (m is not None), m
 
 
 def digraph_canonical_key(G):
-    return _canon.canonical_form(G.rows, (0,) * G.v)[0]
+    """Hashable key shared exactly by isomorphic digraphs: the rows of G
+    relabelled to its canonical form."""
+    return _canon.canonical_form(G.rows, G.cols, (0,) * G.v)[0]
 
 
 def digraph_to_json(G):
-    """Plain-dict form; loops are always written out."""
-    obj = {"v": G.v, "arcs": [list(a) for a in G.arcs]}
+    """Plain-dict form; loops are always written out. The arcs are read
+    from the rows, in the order of ``G.arcs``, which is not built."""
+    obj = {"v": G.v, "arcs": [[x, y] for x, row in enumerate(G.rows) for y in bits(row)]}
     if G.mdfips:
         obj["mdfips"] = [list(p) for p in G.mdfips]
     return obj
@@ -351,7 +354,7 @@ def digraph_to_dot(G):
     """DOT rendering: loops hidden, opposite arc pairs drawn once with dir=both."""
     lines = ["digraph {"]
     for x in range(G.v):
-        lines.append(f'  n{x} [label="{G.name_of(x)}"];')
+        lines.append(f"  n{x} [label={dot_string(G.name_of(x))}];")
     for x in range(G.v):
         for y in bits(G.rows[x]):
             if y == x:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits, mask, permute, union
+from ._bits import bits, mask, permute, transpose, union
 from .digraph import Digraph, digraph_isomorphic
 from .errors import BoundTooLarge, NotDisjoint
 from .lattice import FiniteLattice, join_irreducibles, lattice_isomorphic, meet_irreducibles
@@ -211,10 +211,7 @@ def _lattice_certificate(L, G, M):
     if not all(0 <= a < L.n for a in gens):
         return None
     index = {s: i for i, s in enumerate(_one_sets(G))}
-    ones = [0] * L.n
-    for i, a in enumerate(gens):
-        for c in bits(L.up[a]):
-            ones[c] |= 1 << i
+    ones = transpose([L.up[a] for a in gens], L.n)
     m = tuple(index.get(s) for s in ones)
     return m if certified(L._upper, M._upper, m) else None
 

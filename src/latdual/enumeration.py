@@ -32,7 +32,10 @@ Canonical forms of lattices are seeded by the lattice invariants, heights
 first. Those of digraphs get a constant seed: the first refinement round
 already splits the vertices by (out-degree, in-degree), so degree seeds
 would only repeat it. Neither is memoised, as a row tuple almost never
-comes up twice.
+comes up twice. A canonical form is the relabelled rows themselves, so a
+level is the set of the forms it meets. Each form is handed the converse
+rows already built: the down rows of the extended lattice, and the
+columns that ``check_tirs`` read from the candidate digraph.
 
 Each catalog level is cached as rows, never as objects: a lattice level
 holds the sorted canonical order rows, a digraph level the sorted
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _canon
-from ._bits import bits, permute, transpose, union
+from ._bits import bits, transpose, union
 from .digraph import Digraph, check_tirs
 from .errors import BoundTooLarge
 from .lattice import FiniteLattice, _invariants
@@ -84,7 +87,7 @@ def _lattice_level(n):
     above a down-set d of it, and the top goes back above everything.
     An extension is kept only if no element but the top has a larger
     down-set than the new coatom. Each kept extension gets one canonical
-    form, and a class is kept under its key.
+    form, and the level is the set of those canonical rows.
 
     Completeness: a lattice L on n >= 3 elements has a coatom c other
     than its bottom; take one with the largest down-set, which is then
@@ -110,7 +113,7 @@ def _lattice_level(n):
         return ((1,),) if n == 1 else ((3, 2),)
     k = n - 2
     top = 1 << k
-    reps = {}
+    reps = set()
     for rows in _lattice_level(n - 1):
         down = transpose(rows)[:k]
         principal = set(down)
@@ -131,11 +134,8 @@ def _lattice_level(n):
                 [(r if d >> i & 1 else r ^ top) | top << 1 for i, r in enumerate(rows[:k])]
                 + [top | top << 1, top << 1]
             )
-            key, perm = _canonical_form(L.up, _invariants(L))
-            if key not in reps:
-                reps[key] = permute(L.up, perm)
-    # rows of one width sort as their canonical keys do
-    return tuple(sorted(reps.values()))
+            reps.add(_canonical_form(L.up, L.down, _invariants(L))[0])
+    return tuple(sorted(reps))
 
 
 def _lattices(max_n):
@@ -231,13 +231,12 @@ def _tirs_candidates(v):
 @lru_cache(maxsize=None)
 def _tirs_level(v):
     """Canonical representatives of axiom-passing digraphs on v vertices."""
-    reps = {}
+    reps = set()
     for rows in _tirs_candidates(v):
-        if not check_tirs(Digraph(rows)):
-            continue
-        key, perm = _canonical_form(rows, (0,) * v)
-        reps.setdefault(key, permute(rows, perm))
-    return tuple(sorted(reps.values()))
+        G = Digraph(rows)
+        if check_tirs(G):
+            reps.add(_canonical_form(rows, G.cols, (0,) * v)[0])
+    return tuple(sorted(reps))
 
 
 def enumerate_tirs_digraphs(max_v):

@@ -35,6 +35,7 @@ from functools import cached_property
 from . import _canon
 from ._bits import (
     bits,
+    dot_string,
     inclusion,
     intersection_closed,
     json_pairs,
@@ -354,18 +355,19 @@ def lattice_isomorphic(L1, L2):
     """
     if L1.n != L2.n:
         return False, None
-    m = _canon.isomorphism(L1.up, _invariants(L1), L2.up, _invariants(L2))
+    m = _canon.isomorphism(L1.up, L1.down, _invariants(L1), L2.up, L2.down, _invariants(L2))
     return (m is not None), m
 
 
 def canonical_key(L):
-    """Hashable key shared exactly by isomorphic lattices."""
-    return _canon.canonical_form(L.up, _invariants(L))[0]
+    """Hashable key shared exactly by isomorphic lattices: the up rows of
+    ``canonicalize(L)``."""
+    return _canon.canonical_form(L.up, L.down, _invariants(L))[0]
 
 
 def canonicalize(L):
     """The canonical representative of the isomorphism class of L."""
-    return relabel(L, _canon.canonical_form(L.up, _invariants(L))[1])
+    return relabel(L, _canon.canonical_form(L.up, L.down, _invariants(L))[1])
 
 
 def relabel(L, perm):
@@ -396,8 +398,10 @@ def find_n5_sublattices(L):
 
 
 def lattice_to_json(L):
-    """Plain-dict form: {"n": ..., "covers": [[a, b], ...], "labels": ...}."""
-    obj = {"n": L.n, "covers": [list(c) for c in L.covers]}
+    """Plain-dict form: {"n": ..., "covers": [[a, b], ...], "labels": ...}.
+    The covers are read from the cover rows, in the order of
+    ``L.covers``, which is not built."""
+    obj = {"n": L.n, "covers": [[a, b] for a, row in enumerate(L._upper) for b in bits(row)]}
     if L.labels:
         obj["labels"] = {str(i): L.labels[i] for i in range(L.n)}
     return obj
@@ -426,7 +430,7 @@ def lattice_to_dot(L):
     """Cover diagram in DOT, drawn bottom-up."""
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for i in range(L.n):
-        lines.append(f'  n{i} [label="{L.label_of(i)}"];')
+        lines.append(f"  n{i} [label={dot_string(L.label_of(i))}];")
     for a, b in L.covers:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")

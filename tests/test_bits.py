@@ -35,6 +35,19 @@ def test_transpose_is_the_converse(rows):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.integers(0, 70).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=12))))
+def test_transpose_of_a_family_is_its_membership_columns(case):
+    """Families whose number of sets differs from the width, up to rows
+    wider than 64 bits: column x holds the sets that contain x."""
+    width, rows = case
+    cols = transpose(rows, width)
+    assert len(cols) == width
+    for x, col in enumerate(cols):
+        assert col == sum(1 << i for i, row in enumerate(rows) if row >> x & 1)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 63), max_size=12))
 def test_bits_mask_and_inclusion(sets):
     for s in sets:

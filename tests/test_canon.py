@@ -22,12 +22,6 @@ from oracles import reflexive_rows, relabel_rows, rows_isomorphic_brute
 REFLEXIVE_DIGRAPH_CLASSES = {1: 1, 2: 3, 3: 16, 4: 218}
 
 
-def encode(rows):
-    """Row p of an n-vertex relation fills bits n*(n-1-p) .. n*(n-p)-1."""
-    n = len(rows)
-    return sum(row << n * (n - 1 - p) for p, row in enumerate(rows))
-
-
 def boolean(k):
     """The lattice of subsets of a k-set, element i being the set of bits of i."""
     full = (1 << k) - 1
@@ -219,8 +213,8 @@ def key(obj):
 
 def rows_and_seeds(obj):
     if isinstance(obj, ld.FiniteLattice):
-        return obj.up, _invariants(obj)
-    return obj.rows, (0,) * obj.v
+        return obj.up, obj.down, _invariants(obj)
+    return obj.rows, obj.cols, (0,) * obj.v
 
 
 def draw_relabelling(data):
@@ -240,18 +234,19 @@ def test_key_survives_relabelling(data):
 @given(st.data())
 def test_perm_reencodes_to_the_key(data):
     obj, perm = draw_relabelling(data)
-    rows, seeds = rows_and_seeds(relabelled(obj, perm))
-    (n, enc), perm = _canon.canonical_form(rows, seeds)
-    assert n == len(rows) and sorted(perm) == list(range(n))
-    assert encode(relabel_rows(rows, perm)) == enc
+    rows, cols, seeds = rows_and_seeds(relabelled(obj, perm))
+    key, perm = _canon.canonical_form(rows, cols, seeds)
+    assert sorted(perm) == list(range(len(rows)))
+    assert key == relabel_rows(rows, perm)
 
 
 def test_public_canonical_forms_reencode_to_their_keys(catalog7, tirs5):
     for L in catalog7.entries + (boolean(4), m_k(5)):
-        assert ld.canonical_key(L) == (L.n, encode(ld.canonicalize(L).up))
+        key, perm = _canon.canonical_form(L.up, L.down, _invariants(L))
+        assert ld.canonical_key(L) == key == ld.canonicalize(L).up == relabel_rows(L.up, perm)
     for G in tirs5 + (ld.dual_digraph(m_k(4)),):
-        key, perm = _canon.canonical_form(G.rows, (0,) * G.v)
-        assert ld.digraph_canonical_key(G) == key == (G.v, encode(relabel_rows(G.rows, perm)))
+        key, perm = _canon.canonical_form(G.rows, G.cols, (0,) * G.v)
+        assert ld.digraph_canonical_key(G) == key == relabel_rows(G.rows, perm)
 
 
 def test_canonical_lattices_stay_naturally_labelled():

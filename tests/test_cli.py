@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -61,6 +62,36 @@ def test_primal_dot_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph lattice")
     assert "rankdir=BT" in out
+
+
+# a node line whose one attribute is a DOT quoted string, escaping only
+# backslash and double quote
+DOT_NODE = re.compile(r'  n(\d+) \[label="((?:[^"\\]|\\[\\"])*)"\];')
+
+
+def dot_labels(dot):
+    """Node -> label, each label attribute parsed as a DOT quoted string
+    and unescaped."""
+    labels = {}
+    for line in dot.splitlines():
+        if "label=" in line:
+            m = DOT_NODE.fullmatch(line)
+            assert m, line
+            labels[int(m[1])] = re.sub(r'\\([\\"])', r"\1", m[2])
+    return labels
+
+
+def test_dot_labels_are_escaped_quoted_strings(tmp_path, capsys):
+    names = ('a"b', "c\\", '\\"', "x\\ny", '""', "plain")
+    obj = {"n": len(names), "covers": [[i, i + 1] for i in range(len(names) - 1)],
+           "labels": dict(enumerate(names))}
+    L = lattice_from_json(json.loads(json.dumps(obj)))
+    assert dot_labels(ld.lattice_to_dot(L)) == dict(enumerate(names))
+    assert main(["dual", digraph_file(tmp_path, obj), "--dot"]) == 0
+    labels = dot_labels(capsys.readouterr().out)
+    G = ld.dual_digraph(L)
+    assert labels == {x: G.name_of(x) for x in range(G.v)}
+    assert labels[0] == 'c\\a"b'
 
 
 def test_check_failing_property_exits_one(tmp_path, capsys):
@@ -330,15 +361,17 @@ def command_lines(draw):
 
 
 def test_plain_arguments_are_those_of_argparse():
-    """The reader reads a line exactly as argparse does, or declines it."""
+    """The reader reads a line exactly as argparse does, or declines it.
+    One parser reads every line: parsing keeps no state between lines."""
     read = []
+    parser = _parser()
 
     @settings(max_examples=1500, deadline=None)
     @given(command_lines())
     def agree(argv):
         args = _plain_args(argv)
         if args is not None:
-            assert vars(args) == vars(_parser().parse_args(argv)), argv
+            assert vars(args) == vars(parser.parse_args(argv)), argv
             read.append(argv)
 
     agree()

@@ -5,6 +5,7 @@ import pytest
 import latdual as ld
 from latdual import _canon
 from latdual import enumeration as en
+from latdual._bits import transpose
 from latdual.enumeration import MAX_LATTICE_N, MAX_TIRS_V
 from oracles import (
     bits,
@@ -28,6 +29,10 @@ EXPECTED_TIRS_COUNTS = {1: 1, 2: 2, 3: 6, 4: 32, 5: 281}
 # canonical rows themselves, in catalog order, which the campaign report
 # follows; CI pins the n <= 10 catalog the same way
 CATALOG_8_SHA256 = "064d723ad391bbdbfc95827075556a23ea65f2f1d2a09c8bce965ef6acde8fca"
+# sha256 of repr([G.rows for G in enumerate_tirs_digraphs(5)]): the 322
+# canonical arc rows, in catalog order, which the digraph-side records
+# follow
+TIRS_5_SHA256 = "a139a8a51793b23306d2e8f804c72d482d8f6a9e23780c2e4a7ff89dca965565"
 
 
 def test_counts_match_independent_scan(catalog6):
@@ -42,6 +47,12 @@ def test_frozen_counts(catalog7):
 def test_frozen_catalog_rows():
     rows = [L.up for L in ld.enumerate_lattices(8).entries]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == CATALOG_8_SHA256
+
+
+def test_frozen_tirs_rows(tirs5):
+    rows = [G.rows for G in tirs5]
+    assert len(rows) == 322
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == TIRS_5_SHA256
 
 
 def test_frozen_count_at_the_bound():
@@ -98,10 +109,13 @@ def test_semilattice_extensions_match_the_definition():
     dropped, k <= 6, the order with a new maximal element above d is a
     meet semilattice by definition iff, with a top adjoined, its class is
     in level k + 2; those classes make up the level."""
+    def form(rows):
+        return _canon.canonical_form(rows, transpose(rows), (0,) * len(rows))[0]
+
     verdicts = set()
     for k in range(1, 7):
         top = 1 << k + 1
-        level = {_canon.canonical_form(rows, (0,) * (k + 2))[0] for rows in en._lattice_level(k + 2)}
+        level = {form(rows) for rows in en._lattice_level(k + 2)}
         found = set()
         for parent in en._lattice_level(k + 1):
             rows = tuple(r & ~(1 << k) for r in parent[:k])
@@ -111,7 +125,7 @@ def test_semilattice_extensions_match_the_definition():
                     continue
                 new = tuple(row | (d >> i & 1) << k for i, row in enumerate(rows)) + (1 << k,)
                 lattice = tuple(row | top for row in new) + (top,)
-                key = _canon.canonical_form(lattice, (0,) * (k + 2))[0]
+                key = form(lattice)
                 ok = is_meet_semilattice(new)
                 assert (key in level) == ok, (parent, d)
                 verdicts.add((bool(d), ok))
@@ -134,13 +148,14 @@ def test_each_kept_extension_gets_one_canonical_form(monkeypatch):
     the order filters and the down-set size test (694 pass the order
     filters alone; a semilattice level and a second form per lattice took
     994). The size test drops only work, never a class, as the pinned
-    catalog rows show."""
+    catalog rows show. Each form is handed the converse of its rows."""
     calls = []
     form = en._canonical_form
 
-    def counted(rows, seeds):
+    def counted(rows, cols, seeds):
+        assert cols == transpose(rows)
         calls.append(len(rows))
-        return form(rows, seeds)
+        return form(rows, cols, seeds)
 
     monkeypatch.setattr(en, "_canonical_form", counted)
     en._lattice_level.cache_clear()
