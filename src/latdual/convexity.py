@@ -70,11 +70,11 @@ class ClosureSystem:
         return frozenset(self.closed)
 
     def close_mask(self, ymask):
-        out = (1 << self.ground) - 1
-        for m in self.closed:
-            if ymask & ~m == 0:
-                out &= m
-        return out
+        # the AND of the closed supersets of ymask is one of them and lies
+        # in all the others: the first in the (size, mask) order of closed
+        if ymask & ~((1 << self.ground) - 1):
+            raise ValueError("closure argument leaves the ground set")
+        return next(m for m in self.closed if not ymask & ~m)
 
     def is_closed_mask(self, m):
         return m in self._closed_set
@@ -95,10 +95,7 @@ class ClosureSystem:
 
 def closure_of(C, ys):
     """Smallest closed set containing ys, as a frozenset."""
-    m = mask(ys)
-    if m & ~((1 << C.ground) - 1):
-        raise ValueError("closure argument leaves the ground set")
-    return frozenset(bits(C.close_mask(m)))
+    return frozenset(bits(C.close_mask(mask(ys))))
 
 
 def is_zero_closure(C):

@@ -103,6 +103,7 @@ def dual_digraph(L):
 
 def t_set(L, a, b):
     """Meet irreducibles above b that avoid a."""
+    L._check_elements(a, b)
     return frozenset(bits(mask(meet_irreducibles(L)) & L.up[b] & ~L.up[a]))
 
 
@@ -112,6 +113,7 @@ def maximal_extensions(L, a, b):
     The pair (a, b) must be disjoint, i.e. a not below b; every disjoint
     pair extends to at least one MDFIP.
     """
+    L._check_elements(a, b)
     up, down = L.up, L.down
     if up[a] >> b & 1:
         raise NotDisjoint(f"{a} <= {b}, so filter and ideal overlap")

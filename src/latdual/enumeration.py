@@ -156,18 +156,8 @@ def enumerate_lattices(max_n):
 
 
 def _reflexive_row_options(v):
-    opts = []
-    for i in range(v):
-        rest = ((1 << v) - 1) ^ (1 << i)
-        sub = rest
-        rows_i = []
-        while True:
-            rows_i.append(sub | 1 << i)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        opts.append(rows_i)
-    return opts
+    # the rows with bit i set, for each vertex i, in decreasing order
+    return [[r for r in range((1 << v) - 1, -1, -1) if r >> i & 1] for i in range(v)]
 
 
 def _tirs_candidates(v):

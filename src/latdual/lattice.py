@@ -11,8 +11,8 @@ Conventions used throughout the package:
       Only a rejection runs the pairwise scan, which names the fault.
       ``FiniteLattice(up)`` transposes ``up`` into ``down``; the other
       constructors hand both rows in, ``of_sets`` from the membership
-      columns and ``from_covers`` from its depth-first pass over the
-      covers, so none of them steps through the order pairs.
+      columns and ``from_covers`` from the covers closed in topological
+      order, so none of them steps through the order pairs.
     - Every pair must have a meet and a join. ``FiniteLattice(up)``
       checks this by a unique top and the intersection closure of the
       principal down-sets; ``FiniteLattice.of_sets`` by the union and
@@ -176,6 +176,13 @@ class FiniteLattice:
 
     # -- order and operations -------------------------------------------
 
+    def _check_elements(self, *elements):
+        # the element arguments of mu, interval, t_set and
+        # maximal_extensions: a negative one would index from the end
+        for a in elements:
+            if not 0 <= a < self.n:
+                raise ValueError(f"element {a} is not one of 0..{self.n - 1}")
+
     def leq(self, a, b):
         return bool(self.up[a] >> b & 1)
 
@@ -245,14 +252,14 @@ def from_covers(n, covers, labels=None):
     on it, so that b reaches a; a missing meet or join raises NotALattice
     naming two elements.
 
-    One depth-first pass closes the up rows: a row is closed once the
-    rows of its successors are. A cover into an element still on the
-    current path, a self-cover included, closes a cycle through both its
-    ends. The pass lists the elements as they close, each after all its
-    successors, so in reverse a down row is closed once the rows of its
-    predecessors are. Each row is one OR per given pair: no transpose
-    steps through the order pairs. The order sweep and the lattice check
-    of ``FiniteLattice`` then run on both rows.
+    The elements are placed in topological order (Kahn): each once all
+    its predecessors are, counting a repeated cover once. The down rows
+    close in that order and the up rows in reverse, each row one OR per
+    given pair, so no transpose steps through the order pairs. An
+    element never placed has a predecessor never placed; walking back
+    through those until one repeats ends on a given cover (a, b) whose b
+    reaches a. The order sweep and the lattice check of
+    ``FiniteLattice`` then run on both rows.
     """
     succ, pred = [0] * n, [0] * n
     for a, b in covers:
@@ -260,33 +267,24 @@ def from_covers(n, covers, labels=None):
             raise NotAPartialOrder(f"cover ({a}, {b}) is out of range")
         succ[a] |= 1 << b
         pred[b] |= 1 << a
-    up = [0] * n  # a closed row holds its own bit, so 0 is not closed yet
-    closed = []  # the elements in the order their rows close
-    for root in range(n):
-        if up[root]:
-            continue
-        path, rest, on_path = [root], [succ[root]], 1 << root
-        while path:
-            todo = rest[-1]
-            if not todo:
-                x = path.pop()
-                rest.pop()
-                on_path ^= 1 << x
-                up[x] = union(up, succ[x]) | 1 << x
-                closed.append(x)
-                continue
-            low = todo & -todo
-            rest[-1] = todo ^ low
-            b = low.bit_length() - 1
-            if on_path & low:
-                raise NotAPartialOrder(f"elements {path[-1]} and {b} form a cycle")
-            if not up[b]:
-                path.append(b)
-                rest.append(succ[b])
-                on_path |= low
-    down = [0] * n
-    for x in reversed(closed):
+    waiting = [row.bit_count() for row in pred]  # predecessors not yet placed
+    order = [x for x in range(n) if not waiting[x]]
+    for x in order:
+        for b in bits(succ[x]):
+            waiting[b] -= 1
+            if not waiting[b]:
+                order.append(b)
+    if len(order) < n:
+        a, seen = next(x for x, w in enumerate(waiting) if w), set()
+        while a not in seen:
+            seen.add(a)
+            a, b = next(x for x in bits(pred[a]) if waiting[x]), a
+        raise NotAPartialOrder(f"elements {a} and {b} form a cycle")
+    down, up = [0] * n, [0] * n
+    for x in order:
         down[x] = union(down, pred[x]) | 1 << x
+    for x in reversed(order):
+        up[x] = union(up, succ[x]) | 1 << x
     L = FiniteLattice.__new__(FiniteLattice)
     L._set_order(up, tuple(down), labels)
     L._check_lattice()
@@ -311,6 +309,7 @@ def mu(L, a):
     Read off the down rows: the meet is the element whose down row is
     the AND of the lower covers' down rows, so no table is built.
     """
+    L._check_elements(a)
     if not L._lower[a]:
         raise NoLowerCovers(f"element {a} is the bottom and has no lower covers")
     row = L.down[a]
@@ -327,6 +326,7 @@ def interval(L, a, b):
     inclusion orders these as the elements, and two meet in that of e^f.
     Raises EmptyInterval unless a <= b.
     """
+    L._check_elements(a, b)
     if not L.leq(a, b):
         raise EmptyInterval(f"interval [{a}, {b}] is empty because {a} <= {b} fails")
     seg = L.up[a] & L.down[b]

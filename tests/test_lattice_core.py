@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latdual as ld
@@ -46,6 +46,28 @@ def test_from_covers_names_a_cover_on_the_cycle():
     assert str(exc.value) in ("elements 0 and 1 form a cycle", "elements 1 and 0 form a cycle")
 
 
+@pytest.mark.parametrize("x", [-1, 5, -5, 7])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda L, x: ld.mu(L, x),
+        lambda L, x: ld.interval(L, x, 4),
+        lambda L, x: ld.interval(L, 0, x),
+        lambda L, x: ld.maximal_extensions(L, x, 0),
+        lambda L, x: ld.maximal_extensions(L, 1, x),
+        lambda L, x: ld.t_set(L, x, 0),
+        lambda L, x: ld.t_set(L, 1, x),
+    ],
+    ids=["mu", "interval-a", "interval-b", "extensions-a", "extensions-b", "t_set-a", "t_set-b"],
+)
+def test_elements_outside_the_lattice_are_refused(call, x):
+    """A negative element would index from the end, a large one fail on
+    a bare IndexError; both are named, on N5 (elements 0..4)."""
+    with pytest.raises(ValueError) as info:
+        call(ld.fixture("N5"), x)
+    assert type(info.value) is ValueError and str(info.value) == f"element {x} is not one of 0..4"
+
+
 def reaches(n, covers):
     # reach[a] has bit b iff a reaches b by zero or more covers
     reach = [1 << a for a in range(n)]
@@ -70,8 +92,17 @@ def cover_lists(draw):
     return n, covers
 
 
+# the covers of the Boolean lattice 2^3, element a being the set a
+B3_COVERS = [(a, a | 1 << i) for a in range(8) for i in range(3) if not a >> i & 1]
+
+
 @settings(max_examples=600, deadline=None)
 @given(cover_lists())
+@example((5, [(0, 1), (1, 2), (2, 2), (2, 3), (3, 4)]))  # a self-cover inside a chain
+@example((60, [(i, i + 1) for i in range(59)] + [(59, 57)]))  # a cycle behind a long prefix
+@example((6, [(4, 5), (5, 4), (5, 0), (0, 1), (1, 2), (3, 2)]))  # a cycle above element 0
+@example((8, B3_COVERS + [(7, 0)]))  # no source: 2^3 and a cover from its top to its bottom
+@example((8, B3_COVERS[:3] + B3_COVERS + B3_COVERS[-1:]))  # 2^3 with repeated covers
 def test_from_covers_closes_exactly_the_acyclic_lists(drawn):
     """An acyclic list gives its reflexive transitive closure, or the
     lattice check's own error on it; a cyclic one names a cover (x, y)

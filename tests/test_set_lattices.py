@@ -131,6 +131,20 @@ def test_intersection_closed_matches_the_pairwise_definition(sets, rnd):
         assert intersection_closed(family, upper) == closed_under_intersection(set(family))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), unique=True, max_size=12), st.randoms())
+def test_closure_is_the_and_of_the_closed_supersets(sets, rnd):
+    C = ClosureSystem(6, moore_family(sets, rnd) + [63])
+    for y in range(64):
+        out = 63
+        for m in C.closed:
+            if y & ~m == 0:
+                out &= m
+        assert C.close_mask(y) == out
+    with pytest.raises(ValueError, match="closure argument leaves the ground set"):
+        C.close_mask(64)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 31), unique=True, max_size=8), st.randoms())
 def test_maximal_pairs_of_set_lattices_match_the_definition(sets, rnd):
