@@ -97,11 +97,19 @@ class Digraph:
         return f"Digraph(v={self.v}, arcs={nonloop})"
 
 
+def _check_vertex(G, x):
+    # a negative vertex would index from the end
+    if not 0 <= x < G.v:
+        raise ValueError(f"vertex {x} is not one of 0..{G.v - 1}")
+
+
 def out_set(G, x):
+    _check_vertex(G, x)
     return frozenset(bits(G.rows[x]))
 
 
 def in_set(G, x):
+    _check_vertex(G, x)
     return frozenset(bits(G.cols[x]))
 
 

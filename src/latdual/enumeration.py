@@ -34,8 +34,9 @@ already splits the vertices by (out-degree, in-degree), so degree seeds
 would only repeat it. Neither is memoised, as a row tuple almost never
 comes up twice. A canonical form is the relabelled rows themselves, so a
 level is the set of the forms it meets. Each form is handed the converse
-rows already built: the down rows of the extended lattice, and the
-columns that ``check_tirs`` read from the candidate digraph.
+rows already built: the parent's down rows with the two of the new
+coatom and the top, and the columns that ``check_tirs`` read from the
+candidate digraph.
 
 Each catalog level is cached as rows, never as objects: a lattice level
 holds the sorted canonical order rows, a digraph level the sorted
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _canon
-from ._bits import bits, transpose, union
+from ._bits import bits, transpose, union, upper_covers
 from .digraph import Digraph, check_tirs
 from .errors import BoundTooLarge
 from .lattice import FiniteLattice, _invariants
@@ -88,6 +89,12 @@ def _lattice_level(n):
     An extension is kept only if no element but the top has a larger
     down-set than the new coatom. Each kept extension gets one canonical
     form, and the level is the set of those canonical rows.
+
+    No lattice object is built per extension, as the proof below shows
+    each kept one is a lattice. Nothing new lies below an old element,
+    so its down rows are the parent's but the top's, then d | top and
+    the full row; ``upper_covers`` gives its cover rows, and the seeds
+    of its form come from these rows.
 
     Completeness: a lattice L on n >= 3 elements has a coatom c other
     than its bottom; take one with the largest down-set, which is then
@@ -129,12 +136,16 @@ def _lattice_level(n):
             if any(d & dx not in principal for dx in down):
                 continue
             # the parent's top k becomes the coatom above d, and k + 1
-            # the new top
-            L = FiniteLattice(
-                [(r if d >> i & 1 else r ^ top) | top << 1 for i, r in enumerate(rows[:k])]
-                + [top | top << 1, top << 1]
-            )
-            reps.add(_canonical_form(L.up, L.down, _invariants(L))[0])
+            # the new top; no element lands below an old one
+            ext_up = tuple(
+                (r if d >> i & 1 else r ^ top) | top << 1 for i, r in enumerate(rows[:k])
+            ) + (top | top << 1, top << 1)
+            ext_down = down + (d | top, (top << 2) - 1)
+            upper = upper_covers(ext_up, ext_down)
+            if upper is None:
+                raise RuntimeError(f"an extension of {rows} is not a partial order")
+            seeds = _invariants(ext_down, transpose(upper), upper)
+            reps.add(_canonical_form(ext_up, ext_down, seeds)[0])
     return tuple(sorted(reps))
 
 

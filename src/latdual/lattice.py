@@ -13,6 +13,8 @@ Conventions used throughout the package:
       constructors hand both rows in, ``of_sets`` from the membership
       columns and ``from_covers`` from the covers closed in topological
       order, so none of them steps through the order pairs.
+      ``order_dual`` validates nothing: it swaps the rows of a lattice
+      already checked.
     - Every pair must have a meet and a join. ``FiniteLattice(up)``
       checks this by a unique top and the intersection closure of the
       principal down-sets; ``FiniteLattice.of_sets`` by the union and
@@ -177,8 +179,8 @@ class FiniteLattice:
     # -- order and operations -------------------------------------------
 
     def _check_elements(self, *elements):
-        # the element arguments of mu, interval, t_set and
-        # maximal_extensions: a negative one would index from the end
+        # the element arguments of mu, interval, t_set, the cover lists
+        # and maximal_extensions: a negative one would index from the end
         for a in elements:
             if not 0 <= a < self.n:
                 raise ValueError(f"element {a} is not one of 0..{self.n - 1}")
@@ -214,20 +216,12 @@ class FiniteLattice:
         )
 
     def lower_covers(self, a):
+        self._check_elements(a)
         return tuple(bits(self._lower[a]))
 
     def upper_covers(self, a):
+        self._check_elements(a)
         return tuple(bits(self._upper[a]))
-
-    @cached_property
-    def heights(self):
-        # length of a longest chain from the bottom up to each element
-        order = sorted(range(self.n), key=lambda i: self.down[i].bit_count())
-        h = [0] * self.n
-        for x in order:
-            for c in bits(self._lower[x]):
-                h[x] = max(h[x], h[c] + 1)
-        return tuple(h)
 
     def label_of(self, a):
         return self.labels[a] if self.labels else str(a)
@@ -336,15 +330,33 @@ def interval(L, a, b):
 
 
 def order_dual(L):
-    """The same elements with the order reversed."""
-    return FiniteLattice(L.down, L.labels)
+    """The same elements with the order reversed.
+
+    L is already a lattice, so nothing is validated or recomputed: the
+    up and down rows swap, the upper and lower cover rows swap, and so
+    do L's own join and meet irreducibles.
+    """
+    D = FiniteLattice.__new__(FiniteLattice)
+    D.n, D.labels, D.up, D.down = L.n, L.labels, L.down, L.up
+    D._upper, D._lower = L._lower, L._upper
+    D._irreducibles = L._irreducibles[::-1]
+    return D
 
 
-def _invariants(L):
-    return tuple(
-        (h, lower.bit_count(), upper.bit_count())
-        for h, lower, upper in zip(L.heights, L._lower, L._upper)
-    )
+def _invariants(down, lower, upper):
+    """(height, lower cover count, upper cover count) per element of the
+    lattice with these down rows and cover rows, the height being the
+    length of a longest chain up from the bottom. The elements are
+    visited by down-set size, so each lower cover comes first."""
+    h = [0] * len(down)
+    for x in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
+        h[x] = max((h[c] + 1 for c in bits(lower[x])), default=0)
+    return tuple((hx, lx.bit_count(), ux.bit_count()) for hx, lx, ux in zip(h, lower, upper))
+
+
+def _seeded(L):
+    # the arguments of a canonical form of L
+    return L.up, L.down, _invariants(L.down, L._lower, L._upper)
 
 
 def lattice_isomorphic(L1, L2):
@@ -355,19 +367,19 @@ def lattice_isomorphic(L1, L2):
     """
     if L1.n != L2.n:
         return False, None
-    m = _canon.isomorphism(L1.up, L1.down, _invariants(L1), L2.up, L2.down, _invariants(L2))
+    m = _canon.isomorphism(*_seeded(L1), *_seeded(L2))
     return (m is not None), m
 
 
 def canonical_key(L):
     """Hashable key shared exactly by isomorphic lattices: the up rows of
     ``canonicalize(L)``."""
-    return _canon.canonical_form(L.up, L.down, _invariants(L))[0]
+    return _canon.canonical_form(*_seeded(L))[0]
 
 
 def canonicalize(L):
     """The canonical representative of the isomorphism class of L."""
-    return relabel(L, _canon.canonical_form(L.up, L.down, _invariants(L))[1])
+    return relabel(L, _canon.canonical_form(*_seeded(L))[1])
 
 
 def relabel(L, perm):

@@ -29,57 +29,53 @@ rows (L._up_index). wjsd, jmlsm and jmusm keep their definitional scans,
 comparing joins as up rows and testing covers on the cover rows (see
 _semimodular); labc and uabc read the MDFIPs.
 
-Each dual pair of laws has one criterion and one scan, told which side
-to decide: jsd and msd, usm and lsm (the order and the cover rows
-swapped), jmlsm and jmusm, labc and uabc.
+Each dual pair of laws has one criterion and one scan. lsm is decided
+as usm, jsd as msd, and the lower half of mod's criterion as the upper
+half, each on ``order_dual(L)``, which swaps the rows of L and
+recomputes nothing, so the witnesses are those of the law itself.
+jmlsm and jmusm, labc and uabc share a scan told which side to decide:
+they scan in (join irreducible, meet irreducible) order, which on the
+dual would pick a different first witness.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from . import digraph as dg
 from ._bits import bits, mask, union
 from .digraph import PropertyReport, _report
 from .duality import dual_digraph, mdfips
 from .errors import UnknownProperty
-from .lattice import join_irreducibles, meet_irreducibles
+from .lattice import join_irreducibles, meet_irreducibles, order_dual
 
 
 def _no_witness(name):
     return RuntimeError(f"{name} failed its local criterion, yet the scan found no witness")
 
 
-def _covers_have_covers(L, side):
+def _covers_have_covers(L):
     """Any two distinct upper covers of one element have a common upper
-    cover (side 0); any two distinct lower covers a common lower cover
-    (side 1)."""
-    rows = (L._upper, L._lower)[side]
-    for cover_row in rows:
-        covers = tuple(bits(cover_row))
-        for i, a in enumerate(covers):
-            row = rows[a]
-            for b in covers[i + 1 :]:
-                if not row & rows[b]:
-                    return False
-    return True
+    cover."""
+    upper = L._upper
+    return all(upper[a] & upper[b] for row in upper for a, b in combinations(bits(row), 2))
 
 
-def _semimodular(name, L, side):
-    """Upper (side 0) or lower (side 1) semimodularity: the criterion of
-    is_usm, then the scan for the first pair (a, b) with a^b covered by a
-    and b not covered by a|b, or its order dual.
+def _semimodular(name, L):
+    """Upper semimodularity: the criterion of is_usm, then the scan for
+    the first pair (a, b) with a^b covered by a and b not covered by a|b.
 
-    For usm the b with a^b covered by a are those above a lower cover x
+    The b with a^b covered by a are those above a lower cover x
     of a and not above a: then x <= a^b < a, so a^b = x. Such a b is
     covered by a|b iff an upper cover y of b lies above a: then
     b < a|b <= y, so a|b = y. No meet or join is computed.
     """
-    if _covers_have_covers(L, side):
+    if _covers_have_covers(L):
         return PropertyReport(name, True)
-    into, onto = (L._lower, L._upper)[side], (L._upper, L._lower)[side]
-    cone = (L.up, L.down)[side]
-    for a, ca in enumerate(cone):
-        for b in bits(union(cone, into[a]) & ~ca):
-            if not onto[b] & ca:
+    up, lower, upper = L.up, L._lower, L._upper
+    for a, ca in enumerate(up):
+        for b in bits(union(up, lower[a]) & ~ca):
+            if not upper[b] & ca:
                 return PropertyReport(name, False, (a, b))
     raise _no_witness(name)
 
@@ -97,16 +93,16 @@ def is_usm(L):
     common upper cover, which is then their join
     c_{i+1}|a|c_i = d_{i+1}. At i = k, b is covered by a|b.
     """
-    return _semimodular("usm", L, 0)
+    return _semimodular("usm", L)
 
 
 def is_lsm(L):
     """Lower semimodular: a covered by a|b forces a^b covered by b.
 
-    Criterion: the order dual of is_usm's, any two distinct lower covers
-    of one element have a common lower cover.
+    Decided as usm of the order dual: its criterion is that any two
+    distinct lower covers of one element have a common lower cover.
     """
-    return _semimodular("lsm", L, 1)
+    return _semimodular("lsm", order_dual(L))
 
 
 def _jm_cover_pairs(L):
@@ -170,7 +166,7 @@ def is_modular(L):
     - b <= c: both sides are a|b (b^c = b, and a|b <= c).
     As a|(b^c) <= (a|b)^c, the two are equal iff their up rows are.
     """
-    if _covers_have_covers(L, 0) and _covers_have_covers(L, 1):
+    if _covers_have_covers(L) and _covers_have_covers(order_dual(L)):
         return PropertyReport("mod", True)
     up, down, meet, join = L.up, L.down, L._down_index, L._up_index
     full = (1 << L.n) - 1
@@ -222,11 +218,9 @@ def is_distributive(L):
     raise _no_witness("dist")
 
 
-def _kappas_exist(L, side):
+def _kappas_exist(L):
     """Every join irreducible j has kappa(j), the greatest element above
-    its lower cover j_* and not above j (side 0); or, the order dual,
-    every meet irreducible m has a least element below its upper cover
-    m^* and not below m (side 1).
+    its lower cover j_* and not above j.
 
     Let S = {x >= j_* : x not >= j}; it holds j_*. A maximal x in S is
     not the top, and each upper cover of x, above j_* and outside S, is
@@ -237,37 +231,31 @@ def _kappas_exist(L, side):
     greatest element iff it has one maximal element, so one bit test per
     meet irreducible of S decides kappa(j).
     """
-    cone = (L.up, L.down)[side]
-    own, other = (L._lower, L._upper)[side], (L._upper, L._lower)[side]
-    irreducibles = L._irreducibles
-    others = mask(irreducibles[1 - side])
-    for j in irreducibles[side]:
-        cj = cone[j]
-        s = cone[own[j].bit_length() - 1] & ~cj & others
-        maximal = [m for m in bits(s) if other[m] & cj]
+    up, lower, upper = L.up, L._lower, L._upper
+    mi = mask(meet_irreducibles(L))
+    for j in join_irreducibles(L):
+        uj = up[j]
+        s = up[lower[j].bit_length() - 1] & ~uj & mi
+        maximal = [m for m in bits(s) if upper[m] & uj]
         if len(maximal) > 1:
             return False
     return True
 
 
-def _semidistributive(name, L, side):
-    """Meet (side 0) or join (side 1) semidistributivity: the criterion
-    of is_msd, then the scan for the first (a, b, c) with a^b = a^c and
-    a^b != a^(b|c), or its order dual.
+def _semidistributive(name, L):
+    """Meet semidistributivity: the criterion of is_msd, then the scan
+    for the first (a, b, c) with a^b = a^c and a^b != a^(b|c).
 
-    For msd and each a, the law holds iff every class
+    For each a, the law holds iff every class
     {b : a^b = x} is closed under binary joins, iff a^m = x for the join
     m of the class: a closed class contains m; conversely b <= b|c <= m
     gives x = a^b <= a^(b|c) <= a^m = x. A class is keyed by the down
     row of x, down[a] & down[b], and m is the element whose up row is
     the AND of the up rows of the class.
     """
-    if _kappas_exist(L, side):
+    if _kappas_exist(L):
         return PropertyReport(name, True)
-    if side:
-        rows, others, index = L.up, L.down, L._down_index
-    else:
-        rows, others, index = L.down, L.up, L._up_index
+    rows, others, index = L.down, L.up, L._up_index
     for a, ra in enumerate(rows):
         classes = {}
         for b, rb in enumerate(rows):
@@ -293,10 +281,11 @@ def _semidistributive(name, L, side):
 def is_jsd(L):
     """Join semidistributive: a|b = a|c forces a|b = a|(b^c).
 
-    Criterion: the order dual of is_msd's, every meet irreducible m has
-    a least element in {x <= m^* : x not <= m}, m^* its upper cover.
+    Decided as msd of the order dual: its criterion is that every meet
+    irreducible m has a least element in {x <= m^* : x not <= m}, m^*
+    its upper cover.
     """
-    return _semidistributive("jsd", L, 1)
+    return _semidistributive("jsd", order_dual(L))
 
 
 def is_msd(L):
@@ -314,7 +303,7 @@ def is_msd(L):
     j <= a^b = d. So b and c lie below kappa(j), and then
     j <= e <= b|c <= kappa(j), which is not above j.
     """
-    return _semidistributive("msd", L, 0)
+    return _semidistributive("msd", L)
 
 
 def is_sd(L):

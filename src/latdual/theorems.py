@@ -64,6 +64,7 @@ from .lattice import (
     lattice_isomorphic,
     lattice_to_json,
     meet_irreducibles,
+    order_dual,
 )
 from .properties import DIGRAPH_CHECKS, LATTICE_CHECKS, _jm_cover_pairs
 
@@ -269,22 +270,23 @@ def _thm_3_2(case):
 
 def _lem_3_4(case):
     # upper part: for b meet irreducible, b covered by a|b puts all of
-    # up[b] but b above a; the lower part is its order dual. As in
-    # _jm_cover_pairs, x is covered by x|y iff y is not below x and an
-    # upper cover of x is above y
+    # up[b] but b above a; the lower part is the upper part of the order
+    # dual, with a and b trading roles. As in _jm_cover_pairs, x is
+    # covered by x|y iff y is not below x and an upper cover of x is
+    # above y
     L = case.lattice
-    for side, part, key in ((0, "upper", "c"), (1, "lower", "d")):
-        cone, covers = (L.up, L.down)[side], (L._upper, L._lower)[side]
-        for x in (meet_irreducibles(L), join_irreducibles(L))[side]:
-            strict = cone[x] & ~(1 << x)
-            for y in range(L.n):
-                cy = cone[y]
-                if cy >> x & 1 or not covers[x] & cy:
+    for part, key, M in (("upper", "c", L), ("lower", "d", order_dual(L))):
+        up, upper = M.up, M._upper
+        for x in meet_irreducibles(M):
+            strict = up[x] & ~(1 << x)
+            for y in range(M.n):
+                uy = up[y]
+                if uy >> x & 1 or not upper[x] & uy:
                     continue
-                # strictly above x but not above y, or the dual
-                bad = strict & ~cy
+                # strictly above x but not above y
+                bad = strict & ~uy
                 if bad:
-                    a, b = (x, y) if side else (y, x)
+                    a, b = (y, x) if M is L else (x, y)
                     c = (bad & -bad).bit_length() - 1
                     return False, {"part": part, "a": a, "b": b, key: c}
     return True, None

@@ -14,7 +14,7 @@ import latdual as ld
 from latdual import _canon
 from latdual.cli import main
 from latdual.fixtures import m_k
-from latdual.lattice import _invariants
+from latdual.lattice import _seeded
 from oracles import reflexive_rows, relabel_rows, rows_isomorphic_brute
 
 # loopless digraphs on 1..4 unlabelled vertices (OEIS A000273); adding
@@ -213,7 +213,7 @@ def key(obj):
 
 def rows_and_seeds(obj):
     if isinstance(obj, ld.FiniteLattice):
-        return obj.up, obj.down, _invariants(obj)
+        return _seeded(obj)
     return obj.rows, obj.cols, (0,) * obj.v
 
 
@@ -242,7 +242,7 @@ def test_perm_reencodes_to_the_key(data):
 
 def test_public_canonical_forms_reencode_to_their_keys(catalog7, tirs5):
     for L in catalog7.entries + (boolean(4), m_k(5)):
-        key, perm = _canon.canonical_form(L.up, L.down, _invariants(L))
+        key, perm = _canon.canonical_form(*_seeded(L))
         assert ld.canonical_key(L) == key == ld.canonicalize(L).up == relabel_rows(L.up, perm)
     for G in tirs5 + (ld.dual_digraph(m_k(4)),):
         key, perm = _canon.canonical_form(G.rows, G.cols, (0,) * G.v)

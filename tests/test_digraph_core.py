@@ -22,6 +22,16 @@ def test_neighbourhood_sets():
     assert ld.in_set(G, 0) == {0}
 
 
+@pytest.mark.parametrize("x", [-1, 3, -3, 9])
+@pytest.mark.parametrize("neighbours", [ld.out_set, ld.in_set], ids=["out_set", "in_set"])
+def test_vertices_outside_the_digraph_are_refused(neighbours, x):
+    """A negative vertex would index from the end, a large one fail on a
+    bare IndexError; both are named, on the dual of N5 (vertices 0..2)."""
+    with pytest.raises(ValueError) as info:
+        neighbours(pentagon_dual(), x)
+    assert type(info.value) is ValueError and str(info.value) == f"vertex {x} is not one of 0..2"
+
+
 def test_tirs_passes_on_a_dual():
     rep = ld.check_tirs(pentagon_dual())
     assert rep

@@ -7,6 +7,7 @@ from latdual import _canon
 from latdual import enumeration as en
 from latdual._bits import transpose
 from latdual.enumeration import MAX_LATTICE_N, MAX_TIRS_V
+from latdual.lattice import FiniteLattice, _invariants
 from oracles import (
     bits,
     count_lattice_classes,
@@ -148,12 +149,15 @@ def test_each_kept_extension_gets_one_canonical_form(monkeypatch):
     the order filters and the down-set size test (694 pass the order
     filters alone; a semilattice level and a second form per lattice took
     994). The size test drops only work, never a class, as the pinned
-    catalog rows show. Each form is handed the converse of its rows."""
+    catalog rows show. Each form is handed the converse of its rows, and
+    the seeds of the lattice those rows validate to."""
     calls = []
     form = en._canonical_form
 
     def counted(rows, cols, seeds):
         assert cols == transpose(rows)
+        L = FiniteLattice(rows)
+        assert seeds == _invariants(L.down, L._lower, L._upper)
         calls.append(len(rows))
         return form(rows, cols, seeds)
 

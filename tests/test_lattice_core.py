@@ -57,8 +57,13 @@ def test_from_covers_names_a_cover_on_the_cycle():
         lambda L, x: ld.maximal_extensions(L, 1, x),
         lambda L, x: ld.t_set(L, x, 0),
         lambda L, x: ld.t_set(L, 1, x),
+        lambda L, x: L.lower_covers(x),
+        lambda L, x: L.upper_covers(x),
     ],
-    ids=["mu", "interval-a", "interval-b", "extensions-a", "extensions-b", "t_set-a", "t_set-b"],
+    ids=[
+        "mu", "interval-a", "interval-b", "extensions-a", "extensions-b", "t_set-a", "t_set-b",
+        "lower_covers", "upper_covers",
+    ],
 )
 def test_elements_outside_the_lattice_are_refused(call, x):
     """A negative element would index from the end, a large one fail on

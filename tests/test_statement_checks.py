@@ -102,6 +102,28 @@ def test_checks_match_their_earlier_bodies_on_random_lattices(L):
     assert_same_on(L)
 
 
+def assert_dual_is_rebuilt(L):
+    """order_dual swaps the rows of L; the validating constructor on the
+    down rows must give the same lattice, and every law the same report."""
+    for M in (L, FiniteLattice(L.up, [f"e{x}" for x in range(L.n)])):
+        D, R = ld.order_dual(M), FiniteLattice(M.down, M.labels)
+        assert (D.n, D.up, D.down, D.labels) == (R.n, R.up, R.down, R.labels)
+        assert (D._upper, D._lower, D._irreducibles) == (R._upper, R._lower, R._irreducibles)
+    for name, decide in properties.LATTICE_CHECKS.items():
+        assert decide(ld.order_dual(L)) == decide(FiniteLattice(L.down)), name
+
+
+def test_order_dual_is_the_rebuilt_dual_on_the_catalog(catalog7):
+    for L in catalog7.entries:
+        assert_dual_is_rebuilt(L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattices())
+def test_order_dual_is_the_rebuilt_dual_on_random_lattices(L):
+    assert_dual_is_rebuilt(L)
+
+
 # -- fault injection ------------------------------------------------------
 
 
