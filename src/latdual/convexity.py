@@ -49,7 +49,8 @@ class ClosureSystem:
         masks = sorted(masks, key=lambda m: (m.bit_count(), m))
         if full not in masks:
             raise ValueError("the ground set itself must be closed")
-        if not intersection_closed(masks, upper_covers(*inclusion(masks))):
+        rows = inclusion(masks)
+        if not intersection_closed(masks, *rows, upper_covers(*rows)):
             a, b = unclosed_pair(masks)
             raise ValueError(
                 f"intersection of {sorted(bits(a))} and {sorted(bits(b))}"
@@ -59,9 +60,10 @@ class ClosureSystem:
 
     @classmethod
     def from_sets(cls, ground, sets):
-        # the range first: a point such as 10**10 would need a mask of that many bits
+        # the range first: a point such as 10**10 would need a mask of that
+        # many bits, and a negative point has no bit
         for s in sets:
-            if any(x >= ground for x in s):
+            if any(not 0 <= x < ground for x in s):
                 raise ValueError(f"closed set {sorted(set(s))} leaves the ground set")
         return cls(ground, [mask(s) for s in sets])
 
@@ -94,7 +96,11 @@ class ClosureSystem:
 
 
 def closure_of(C, ys):
-    """Smallest closed set containing ys, as a frozenset."""
+    """Smallest closed set containing ys, as a frozenset. The points are
+    range-checked before their mask is built, as in ``from_sets``."""
+    ys = tuple(ys)
+    if not all(0 <= y < C.ground for y in ys):
+        raise ValueError("closure argument leaves the ground set")
     return frozenset(bits(C.close_mask(mask(ys))))
 
 

@@ -44,6 +44,12 @@ def mdfips(L):
     a (any other a2 <= a, b2 >= b then has a2 <= b <= b2 or a <= b2).
     Two lower covers of a below b would put a below b, so a is join
     irreducible; dually b is meet irreducible.
+
+    The first two conditions are read off one row: a join irreducible
+    a has one lower cover a_*, and the elements strictly below a are
+    those below a_*, so they are below b iff b is in ``up[a_*]``. The
+    candidates b for a are the meet irreducibles in
+    ``up[a_*] & ~up[a]``; the third condition is tested on each.
     """
     pairs = vars(L).get("_mdfips")
     if pairs is None:
@@ -52,13 +58,12 @@ def mdfips(L):
 
 
 def _maximal_pairs(L):
-    up, down, mis = L.up, L.down, meet_irreducibles(L)
+    up, mis = L.up, mask(meet_irreducibles(L))
     return tuple(
         (a, b)
         for a in join_irreducibles(L)
-        for b in mis
-        if not up[a] >> b & 1
-        and down[a] & ~down[b] == 1 << a and up[b] & ~up[a] == 1 << b
+        for b in bits(mis & union(up, L._lower[a]) & ~up[a])
+        if up[b] & ~up[a] == 1 << b
     )
 
 

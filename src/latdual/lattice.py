@@ -19,9 +19,10 @@ Conventions used throughout the package:
       checks this by a unique top and the intersection closure of the
       principal down-sets; ``FiniteLattice.of_sets`` by the union and
       the intersection closure of the sets. Both decide closure with
-      ``_bits.intersection_closed``, testing only the members with one
-      upper cover, and only a rejection runs a pairwise scan to name the
-      fault. Downstream code relies on this and never re-checks.
+      ``_bits.intersection_closed`` on the order rows they already hold,
+      testing only the members with one upper cover and some member
+      incomparable to them, and only a rejection runs a pairwise scan to
+      name the fault. Downstream code relies on this and never re-checks.
     - A meet or a join is a row AND and one lookup: a^b is the element
       whose down row is ``down[a] & down[b]`` (``_down_index``), and a|b
       the one whose up row is ``up[a] & up[b]`` (``_up_index``). No n^2
@@ -66,10 +67,9 @@ class FiniteLattice:
         # with a top, an order is a lattice iff its principal down-sets
         # are closed under intersection: the meet of a and b is the
         # element whose down-set is down[a] & down[b]
-        full = (1 << self.n) - 1
-        if full not in self.down or not intersection_closed(self.down, self._upper):
+        up, down, full = self.up, self.down, (1 << self.n) - 1
+        if full not in down or not intersection_closed(down, up, down, self._upper):
             # name the first pair, in (a, b) order, lacking a join or a meet
-            up, down = self.up, self.down
             for a in range(self.n):
                 for b in range(a, self.n):
                     if up[a] & up[b] not in self._up_index:
@@ -107,7 +107,7 @@ class FiniteLattice:
             )
         L = cls.__new__(cls)
         L._set_order(*inclusion(masks), labels)
-        if not intersection_closed(masks, L._upper):
+        if not intersection_closed(masks, L.up, L.down, L._upper):
             a, b = (sorted(bits(m)) for m in unclosed_pair(masks))
             raise NotALattice(
                 f"the intersection of {a} and {b} is not one of the sets"

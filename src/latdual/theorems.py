@@ -43,13 +43,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product
 
-from ._bits import bits, mask
+from ._bits import bits, mask, union
 from .convexity import cld_lattice, is_zero_closure, lattice_to_convex_geometry, satisfies_aep
 from .digraph import Digraph, _reduction_witness, check_tirs, digraph_to_json
 from .duality import (
     dual_digraph,
     map_masks,
-    maximal_extensions,
     mdfips,
     mdfips_bruteforce,
     mpe_lattice,
@@ -326,31 +325,35 @@ def _prop_3_7(case):
 
 
 def _lem_5_1(case):
-    L = case.lattice
-    pairs = case.pairs
-    idx = {p: i for i, p in enumerate(pairs)}
-    rows = case.digraph.rows
+    """The MDFIPs extending each pentagon's pairs (a, c), (c, b) and
+    (b, a) are read as vertex masks, built from the case's own pairs:
+    those (a2, b2) with a2 <= u and b2 >= v are
+    ``union(by_a, down[u]) & union(by_b, up[v])``, where ``by_a[e]`` and
+    ``by_b[e]`` hold the vertices whose first or second generator is e.
+    Bits come lowest first, so triples come in pair order, as
+    ``maximal_extensions`` lists them; distinctness is tested on the
+    pairs, not on their vertices."""
+    L, pairs, rows = case.lattice, case.pairs, case.digraph.rows
+    by_a, by_b = [0] * L.n, [0] * L.n
+    for i, (a, b) in enumerate(pairs):
+        by_a[a] |= 1 << i
+        by_b[b] |= 1 << i
     for z0, a, b, c, o in find_n5_sublattices(L):
-        # all three pairs are disjoint in a pentagon
-        xs, ys, ws = (maximal_extensions(L, u, v) for u, v in ((a, c), (c, b), (b, a)))
-        for x in xs:
-            for y in ys:
-                for w in ws:
-                    i, j, k = idx[x], idx[y], idx[w]
-                    if len({x, y, w}) != 3:
-                        fault = {"reason": "not distinct"}
-                    else:
-                        # of the six arcs among distinct i, j, k, only
-                        # (i, j) and (j, k) are allowed
-                        bad = [(p, q) for p, q in ((j, i), (i, k), (k, i), (k, j))
-                               if rows[p] >> q & 1]
-                        fault = bad and {"arc": [list(pairs[q]) for q in bad[0]]}
-                    if fault:
-                        return False, {
-                            "pentagon": [z0, a, b, c, o],
-                            "triple": [list(x), list(y), list(w)],
-                            **fault,
-                        }
+        ext = (union(by_a, L.down[u]) & union(by_b, L.up[v]) for u, v in ((a, c), (c, b), (b, a)))
+        for i, j, k in product(*map(bits, ext)):
+            x, y, w = pairs[i], pairs[j], pairs[k]
+            if len({x, y, w}) != 3:
+                fault = {"reason": "not distinct"}
+            else:
+                # of the six arcs among distinct i, j, k, only (i, j) and (j, k) are allowed
+                bad = [(p, q) for p, q in ((j, i), (i, k), (k, i), (k, j)) if rows[p] >> q & 1]
+                fault = bad and {"arc": [list(pairs[q]) for q in bad[0]]}
+            if fault:
+                return False, {
+                    "pentagon": [z0, a, b, c, o],
+                    "triple": [list(x), list(y), list(w)],
+                    **fault,
+                }
     return True, None
 
 

@@ -909,6 +909,17 @@ def lem_3_5(case):
     return True, None
 
 
+def prop_3_7(case):
+    # the irreducibles by their cover counts, the pairs as the case holds them
+    L = case.lattice
+    for key, side in (("unmatched_join_irreducible", 0), ("unmatched_meet_irreducible", 1)):
+        for x in range(L.n):
+            covers = [y for y in range(L.n) if (L.is_cover(y, x), L.is_cover(x, y))[side]]
+            if len(covers) == 1 and all(p[side] != x for p in case.pairs):
+                return False, {key: x}
+    return True, None
+
+
 def lem_5_1(case):
     L = case.lattice
     idx = {p: i for i, p in enumerate(case.pairs)}

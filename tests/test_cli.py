@@ -444,6 +444,9 @@ def test_unsniffable_payload(tmp_path, capsys):
     {"v": 2, "arcs": [[0, 1.0]]},
     {"v": 2, "arcs": [[0, 1, 1]]},
     {"v": 2, "arcs": [7]},
+    {"v": 2, "arcs": [[0, 5]]},
+    {"v": 2, "arcs": [[-1, 0]]},
+    {"arcs": []},
     {"v": 2, "arcs": [], "mdfips": 5},
     {"v": 2, "arcs": [], "mdfips": []},
     {"v": 2, "arcs": [], "mdfips": [[0, 1]]},

@@ -304,14 +304,13 @@ def test_closure_json_rejects_malformed_shapes(obj, message):
         closure_from_json(obj)
 
 
-def test_a_far_point_is_refused_before_its_mask_is_built():
-    """A point at 10**10 would need a mask of 10**10 bits, over a GB: run
-    in a fresh process within 400 MB of address space, the range check
-    must refuse it first."""
+def refusal_within_400_mb(call):
+    """The ValueError message of ``call``, a latdual.convexity call as
+    source text, run in a fresh process within 400 MB of address space."""
     code = (
-        "from latdual.convexity import closure_from_json\n"
+        "from latdual.convexity import *\n"
         "try:\n"
-        "    closure_from_json({'ground': 3, 'closed': [[0, 1, 2], [10**10]]})\n"
+        f"    {call}\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
@@ -322,7 +321,29 @@ def test_a_far_point_is_refused_before_its_mask_is_built():
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "closed set [10000000000] leaves the ground set\n"
+    return r.stdout
+
+
+def test_a_far_point_is_refused_before_its_mask_is_built():
+    """A point at 10**10 would need a mask of 10**10 bits, over a GB: run
+    in a fresh process within 400 MB of address space, the range check
+    must refuse it first."""
+    got = refusal_within_400_mb("closure_from_json({'ground': 3, 'closed': [[0, 1, 2], [10**10]]})")
+    assert got == "closed set [10000000000] leaves the ground set\n"
+
+
+def test_a_far_closure_argument_is_refused_before_its_mask_is_built():
+    C = "ClosureSystem.from_sets(3, [[0, 1, 2], [0]])"
+    got = refusal_within_400_mb(f"closure_of({C}, [10**10])")
+    assert got == "closure argument leaves the ground set\n"
+
+
+def test_negative_points_leave_the_ground_set():
+    # without the range check first, the mask of -1 is a bare negative shift
+    with pytest.raises(ValueError, match=r"^closure argument leaves the ground set$"):
+        closure_of(interval_system(3), [-1])
+    with pytest.raises(ValueError, match=r"^closed set \[-1\] leaves the ground set$"):
+        ClosureSystem.from_sets(3, [[-1], [0, 1, 2]])
 
 
 def test_json_roundtrip():

@@ -131,6 +131,16 @@ def test_transitivity_and_posets():
     assert not ld.is_poset(two_cycle)
 
 
+def test_a_vertex_without_a_loop_is_the_poset_witness():
+    r = ld.is_poset(Digraph([0]))
+    assert not r and r.witness == (0,)
+
+
+def test_arcs_outside_the_vertices_are_refused():
+    with pytest.raises(ValueError, match=r"^vertex 0 has arcs outside 0\.\.0$"):
+        Digraph([4])
+
+
 def test_find_induced_on_hexagon_dual():
     G = ld.dual_digraph(ld.fixture("L4"))
     assert ld.find_induced(G, ld.G1) == [(0, 1, 2), (0, 1, 3)]

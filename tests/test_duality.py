@@ -49,6 +49,25 @@ def test_characterisation_matches_bruteforce_on_catalog(catalog6):
         assert ld.mdfips(L) == ld.mdfips_bruteforce(L)
 
 
+def chain_product(p, q):
+    # the product of a p-chain and a q-chain; element i * q + j is (i, j)
+    covers = [(x, x + 1) for x in range(p * q) if x % q < q - 1]
+    covers += [(x, x + q) for x in range(p * q - q)]
+    return ld.from_covers(p * q, covers)
+
+
+def test_characterisation_matches_bruteforce_on_chains_and_their_products():
+    # in a chain every element but the ends is both join and meet
+    # irreducible, and (i + 1, i) are the maximal pairs
+    for k in range(2, 61):
+        L = ld.fixture(f"CHAIN({k})")
+        assert ld.mdfips(L) == ld.mdfips_bruteforce(L) == [(i + 1, i) for i in range(k - 1)]
+    for p, q in product(range(2, 7), repeat=2):
+        L = chain_product(p, q)
+        assert L.n == p * q and len(L.covers) == p * (q - 1) + q * (p - 1)
+        assert ld.mdfips(L) == ld.mdfips_bruteforce(L), (p, q)
+
+
 def test_cached_results_do_not_change_through_what_a_call_returned():
     L = ld.fixture("L3D")
     pairs = ld.mdfips(L)

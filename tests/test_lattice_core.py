@@ -33,6 +33,17 @@ def test_single_element_lattice():
     assert ld.meet_irreducibles(L) == ()
 
 
+def test_labels_must_match_the_elements():
+    with pytest.raises(ValueError, match="^labels length does not match element count$"):
+        FiniteLattice((1,), labels=("a", "b"))
+
+
+def test_an_unknown_fixture_is_refused():
+    with pytest.raises(KeyError) as info:
+        ld.fixture("nope")
+    assert info.value.args == ("unknown fixture 'nope'",)
+
+
 def test_from_covers_rejects_cycle():
     with pytest.raises(ld.NotAPartialOrder) as exc:
         ld.from_covers(3, [(0, 1), (1, 2), (2, 0)])

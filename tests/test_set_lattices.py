@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latdual as ld
@@ -117,6 +117,12 @@ def test_intersection_closed_families_match_the_generic_constructor(sets, rnd):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 63), unique=True, max_size=12), st.randoms())
+# sparse families, where most members are comparable to every other: a
+# chain, a comb (a chain with one singleton tooth per point) and a chain
+# with one incomparable pair, {0} and {1}, whose meet may be taken out
+@example(sets=[1, 3, 7, 15, 31, 63], rnd=random.Random(0))
+@example(sets=[1, 3, 7, 15, 31, 63, 2, 4, 8, 16, 32], rnd=random.Random(0))
+@example(sets=[0, 1, 2, 3, 7, 15, 31, 63], rnd=random.Random(0))
 def test_intersection_closed_matches_the_pairwise_definition(sets, rnd):
     """Families with their union, closed ones, and closed ones with one
     member other than the union taken out."""
@@ -127,8 +133,9 @@ def test_intersection_closed_matches_the_pairwise_definition(sets, rnd):
     families = [list({*sets, union}), closed]
     families += [closed[:i] + closed[i + 1 :] for i, m in enumerate(closed) if m != union]
     for family in families:
-        upper = upper_covers(*inclusion(family))
-        assert intersection_closed(family, upper) == closed_under_intersection(set(family))
+        up, down = inclusion(family)
+        upper = upper_covers(up, down)
+        assert intersection_closed(family, up, down, upper) == closed_under_intersection(set(family))
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import latdual as ld
 import oracles
 from latdual import properties, theorems
-from latdual._bits import bits, permute
+from latdual._bits import bits, mask, permute
+from latdual.convexity import ClosureSystem
 from latdual.digraph import Digraph
 from latdual.duality import PartialTwoMap, map_masks
 from latdual.lattice import FiniteLattice
@@ -32,6 +33,7 @@ LATTICE_SIDE = {
     "THM_3_2": (theorems._thm_3_2, oracles.thm_3_2),
     "LEM_3_4": (theorems._lem_3_4, oracles.lem_3_4),
     "LEM_3_5": (theorems._lem_3_5, oracles.lem_3_5),
+    "PROP_3_7": (theorems._prop_3_7, oracles.prop_3_7),
     "LEM_5_1": (theorems._lem_5_1, oracles.lem_5_1),
 }
 
@@ -187,6 +189,65 @@ def test_checks_agree_on_corrupted_pair_lists(catalog7):
         case.pairs_by_definition = case.pairs_by_definition + [(L.top, L.bottom)]
         agree(case, failed, ("PROP_2_2", "THM_3_2"))
     assert all(failed.values()), failed
+
+
+def test_prop_3_7_names_what_a_dropped_pair_leaves_unmatched(catalog7):
+    reasons = set()
+    for L in catalog7.entries:
+        for i in range(len(ld.mdfips(L))):
+            case = LatticeCase(L)
+            case.pairs = case.pairs[:i] + case.pairs[i + 1 :]
+            got = theorems._prop_3_7(case)
+            assert got == oracles.prop_3_7(case)
+            reasons.update(got[1] or ())
+    assert reasons == {"unmatched_join_irreducible", "unmatched_meet_irreducible"}
+
+
+def with_pair(L, pair):
+    # a case of L with one more pair, in sorted place, and the digraph on
+    # its pairs by the arc rule: (a, b) -> (c, d) iff a is not below d
+    case = LatticeCase(L)
+    pairs = sorted(case.pairs + [pair])
+    rows = [mask(j for j, (_, d) in enumerate(pairs) if not L.leq(a, d)) for a, _ in pairs]
+    case.pairs, case.digraph = pairs, Digraph(rows, mdfips=pairs)
+    return case
+
+
+def test_lem_5_1_finds_a_pair_that_extends_two_of_a_pentagons_pairs(catalog7):
+    """A pentagon (z, a, b, c, o) has z below a, b and c and o above
+    them, so (z, o) extends all of (a, c), (c, b) and (b, a). No true
+    MDFIP extends two of them, and (z, o) itself is not disjoint; added
+    to the pairs, it repeats in a triple."""
+    N5 = ld.fixture("N5")
+    assert theorems._lem_5_1(with_pair(N5, (0, 4))) == (False, {
+        "pentagon": [0, 1, 3, 2, 4],
+        "triple": [[0, 4], [0, 4], [0, 4]],
+        "reason": "not distinct",
+    })
+    found = 0
+    for L in catalog7.entries:
+        for z, *_, o in ld.find_n5_sublattices(L)[:1]:
+            case = with_pair(L, (z, o))
+            got = theorems._lem_5_1(case)
+            assert got == oracles.lem_5_1(case)
+            found += got[1].get("reason") == "not distinct"
+    assert found > 1
+
+
+def test_thm_4_13_names_each_fault_of_the_geometry(monkeypatch):
+    """B2 is meet distributive, so THM_4_13 reads its convex geometry;
+    each substitute geometry fails one of the three tests, in order."""
+    B2 = ld.fixture("B2")
+    assert theorems._thm_4_13(LatticeCase(B2)) == (True, None)
+    for closed, fault in (
+        ([0b01, 0b11], {"reason": "empty set not closed"}),
+        ([0b00, 0b11], {"reason": "anti-exchange fails", "witness": [(), 0, 1]}),
+        # a four-element chain: a convex geometry, but not of B2
+        ([0b000, 0b001, 0b011, 0b111], {"reason": "closed-set lattice not isomorphic"}),
+    ):
+        C = ClosureSystem(max(closed).bit_length(), closed)
+        monkeypatch.setattr(theorems, "lattice_to_convex_geometry", lambda L, C=C: C)
+        assert theorems._thm_4_13(LatticeCase(B2)) == (False, fault)
 
 
 def test_checks_agree_on_altered_maps(catalog6, tirs4):
